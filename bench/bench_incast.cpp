@@ -15,8 +15,8 @@
 //   dctcp      — windowed injection, ECN-marked acks shrink cwnd
 //
 // The dctcp variant also runs at --threads 1 and 4 and byte-compares the
-// metrics artifacts: the ECN mark decision reconstructs the sequential
-// queue order inside the parallel merge, and the ack echo runs on the
+// metrics artifacts: the ECN mark decision reconstructs the node-order
+// queue size inside the merge replay, and the ack echo runs on the
 // coordinating thread, so the artifacts must be identical. With --json the
 // summary is written for ci/check_bench.py against BENCH_incast.json.
 #include <cstdio>

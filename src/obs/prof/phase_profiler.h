@@ -30,8 +30,8 @@ namespace sorn {
 // prof_phase_name() and kProfPhaseCount in sync when extending.
 enum class ProfPhase : int {
   kScheduleAdvance = 0,  // matching lookup per lane
-  kLaneSweep,            // node sweep (sequential) or sharded stage phase
-  kMergeReplay,          // merge of staged shard events (parallel engine)
+  kLaneSweep,            // sharded stage phase of the node sweep
+  kMergeReplay,          // merge of staged shard events
   kVoqSettle,            // settling the global queued-cell total
   kRetransmit,           // end-host stall scan + re-admission
   kControlTick,          // control-plane tick (ControlPlane::tick)

@@ -12,9 +12,9 @@
 // be. The parallel slot engine never calls hooks from worker threads —
 // shards stage their results in per-shard buffers, and the coordinating
 // thread invokes every hook during the merge phase, replaying events in
-// the exact order the sequential sweep would have produced them. That is
-// what keeps traces and time series byte-identical across thread counts
-// (see src/sim/network.cpp, step_lane_parallel).
+// node order whatever the thread count. That is what keeps traces and
+// time series byte-identical across thread counts (see
+// src/sim/network.cpp, step_lane).
 #pragma once
 
 #include <memory>

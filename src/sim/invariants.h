@@ -25,8 +25,8 @@
 //     is independent of SimMetrics, so a dedup bug there is caught here.
 //
 // Threading contract: every hook is invoked from the coordinating thread
-// only — the sequential sweep calls them inline and the parallel engine
-// calls them during its ordered merge replay — so the checker needs no
+// only — the engine calls them during the lane sweep's ordered merge
+// replay — so the checker needs no
 // synchronization and, like Telemetry, results are byte-identical at any
 // thread count.
 #pragma once

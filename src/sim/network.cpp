@@ -7,12 +7,25 @@
 
 namespace sorn {
 
+namespace {
+
+// Runs in the member-initializer list, so the null check comes before the
+// first dereference of the schedule.
+NodeId checked_node_count(const CircuitSchedule* schedule,
+                          const Router* router) {
+  SORN_ASSERT(schedule != nullptr && router != nullptr,
+              "network needs a schedule and a router");
+  return schedule->node_count();
+}
+
+}  // namespace
+
 SlottedNetwork::SlottedNetwork(const CircuitSchedule* schedule,
                                const Router* router, NetworkConfig config)
     : schedule_(schedule),
       router_(router),
       config_(config),
-      n_(schedule->node_count()),
+      n_(checked_node_count(schedule, router)),
       voqs_(n_),
       metrics_(config.slot_duration, config.propagation_per_hop),
       rng_(config.seed),
@@ -21,10 +34,9 @@ SlottedNetwork::SlottedNetwork(const CircuitSchedule* schedule,
   // Gray-failure decisions hash their own derived seed so enabling them
   // never perturbs the main Rng stream (routing, injection).
   gray_.set_seed(config.seed ^ 0x6772617946617573ULL);
-  SORN_ASSERT(schedule_ != nullptr && router_ != nullptr,
-              "network needs a schedule and a router");
   SORN_ASSERT(config_.lanes >= 1, "need at least one uplink lane");
   SORN_ASSERT(config_.cell_bytes >= 1, "cells must carry at least one byte");
+  set_threads(1);
 }
 
 void SlottedNetwork::inject_flow(FlowId flow, NodeId src, NodeId dst,
@@ -35,37 +47,9 @@ void SlottedNetwork::inject_flow(FlowId flow, NodeId src, NodeId dst,
 void SlottedNetwork::inject_flow_with(const Router& router, FlowId flow,
                                       NodeId src, NodeId dst,
                                       std::uint64_t bytes, int flow_class) {
-  SORN_ASSERT(src != dst, "flow endpoints must differ");
-  // Routing draws from rng_; a draw inside the parallel sweep would make
-  // the stream depend on thread scheduling (see DESIGN.md).
-  SORN_ASSERT(!in_parallel_sweep_, "inject during parallel sweep");
-  const std::uint64_t cells =
-      (bytes + config_.cell_bytes - 1) / config_.cell_bytes;
-  // Remember which path class injected the flow: stalled cells must be
-  // retransmitted through the same router (a bulk flow re-routed onto the
-  // short-flow path class would jump queues and skew both path classes).
-  const bool bulk = bulk_router_ != nullptr && &router == bulk_router_;
-  if (telemetry_ != nullptr)
-    telemetry_->on_flow_inject(now_, flow, src, dst, bytes, flow_class);
-  if (checker_ != nullptr) checker_->on_flow_inject(flow, cells);
-  for (std::uint64_t c = 0; c < cells; ++c) {
-    Cell cell;
-    cell.flow = flow;
-    cell.seq = static_cast<std::uint32_t>(c);
-    // Stagger the routing reference slot across the flow's cells: cell c
-    // will leave the source no earlier than c/lanes slots from now, and
-    // "first available link" load balancing must be evaluated at each
-    // cell's own departure opportunity (otherwise a whole flow convoys
-    // onto one queue; cf. the paper's footnote on long flows spreading
-    // across all intra-clique links).
-    cell.path = router.route(
-        src, dst, now_ + static_cast<Slot>(c) / config_.lanes, rng_);
-    cell.hop = 0;
-    cell.inject_slot = now_;
-    cell.ready_slot = now_;
-    metrics_.on_inject(cell, cells, bytes, flow_class, bulk);
-    enqueue_or_drop(cell);
-  }
+  inject_flow_segment(router, flow, src, dst, bytes, 0,
+                      (bytes + config_.cell_bytes - 1) / config_.cell_bytes,
+                      flow_class);
 }
 
 void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
@@ -75,10 +59,15 @@ void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
                                          std::uint64_t cell_count,
                                          int flow_class) {
   SORN_ASSERT(src != dst, "flow endpoints must differ");
+  // Routing draws from rng_; a draw inside the lane sweep would make the
+  // stream depend on thread scheduling (see DESIGN.md).
   SORN_ASSERT(!in_parallel_sweep_, "inject during parallel sweep");
   const std::uint64_t cells =
       (bytes + config_.cell_bytes - 1) / config_.cell_bytes;
   SORN_ASSERT(first_cell + cell_count <= cells, "segment past end of flow");
+  // Remember which path class injected the flow: stalled cells must be
+  // retransmitted through the same router (a bulk flow re-routed onto the
+  // short-flow path class would jump queues and skew both path classes).
   const bool bulk = bulk_router_ != nullptr && &router == bulk_router_;
   // Flow-level events fire once, with the first segment; the flow record
   // (created by the first on_inject with the full totals) completes when
@@ -92,8 +81,12 @@ void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
     Cell cell;
     cell.flow = flow;
     cell.seq = static_cast<std::uint32_t>(first_cell + c);
-    // Stagger routing by each cell's departure opportunity within this
-    // segment, same as inject_flow_with does across a whole flow.
+    // Stagger the routing reference slot across the segment's cells: cell
+    // c will leave the source no earlier than c/lanes slots from now, and
+    // "first available link" load balancing must be evaluated at each
+    // cell's own departure opportunity (otherwise a whole flow convoys
+    // onto one queue; cf. the paper's footnote on long flows spreading
+    // across all intra-clique links).
     cell.path = router.route(
         src, dst, now_ + static_cast<Slot>(c) / config_.lanes, rng_);
     cell.hop = 0;
@@ -123,22 +116,23 @@ void SlottedNetwork::drop(const Cell& cell) {
     telemetry_->on_cell_drop(now_, cell.current(), cell.next_hop(), cell.flow);
 }
 
-void SlottedNetwork::enqueue_or_drop(Cell& cell) {
-  if (config_.ecn_threshold_cells == 0) {
-    // ECN off: the capacity check lives inside try_push (the pre-ECN hot
-    // path, one queue lookup).
-    if (!voqs_.try_push(cell, config_.max_queue_cells)) drop(cell);
-    return;
-  }
-  const std::uint64_t size = voqs_.size_of(cell.current(), cell.next_hop());
-  if (config_.max_queue_cells > 0 && size >= config_.max_queue_cells) {
-    drop(cell);
-    return;
-  }
-  if (size >= config_.ecn_threshold_cells) {
-    cell.ecn = true;
-    metrics_.on_ecn_mark();
-    if (telemetry_ != nullptr) telemetry_->on_ecn_mark();
+void SlottedNetwork::enqueue_or_drop(Cell& cell, std::uint64_t unpopped) {
+  const bool capped = config_.max_queue_cells > 0;
+  const bool ecn_on = config_.ecn_threshold_cells > 0;
+  if (capped || ecn_on) {
+    // The capacity check and the ECN mark judge the same size, so a mark
+    // is byte-identical at any thread count whenever the drop decision is.
+    const std::uint64_t size =
+        voqs_.size_of(cell.current(), cell.next_hop()) + unpopped;
+    if (capped && size >= config_.max_queue_cells) {
+      drop(cell);
+      return;
+    }
+    if (ecn_on && size >= config_.ecn_threshold_cells) {
+      cell.ecn = true;
+      metrics_.on_ecn_mark();
+      if (telemetry_ != nullptr) telemetry_->on_ecn_mark();
+    }
   }
   voqs_.push(cell);
 }
@@ -151,74 +145,29 @@ void SlottedNetwork::deliver(const Cell& cell) {
   if (transport_ != nullptr && first_copy) transport_->on_ack(cell, now_ + 1);
 }
 
-void SlottedNetwork::transmit(NodeId node, NodeId peer) {
-  if (failures_.any_failures() && !failures_.usable(node, peer)) return;
-  const GrayCircuit* gray = nullptr;
-  if (gray_.any()) {
-    gray = gray_.find(node, peer);
-    // A throttled circuit's inactive slot behaves like a one-slot outage:
-    // the head cell stays queued and retries next opportunity.
-    if (gray != nullptr && !gray_.slot_active(now_, node, peer, *gray))
-      return;
-  }
-  const Cell* head = voqs_.peek(node, peer, now_);
-  if (head == nullptr) return;
-  Cell cell = *head;
-  voqs_.pop(node, peer);
-  if (checker_ != nullptr) checker_->on_transmit(now_, node, peer);
-  if (gray != nullptr && gray_.cell_lost(now_, node, peer, *gray, cell)) {
-    // Transmitted but lost in flight; the end-host retransmission policy
-    // recovers the flow, duplicates are dedupped at the receiver.
-    metrics_.on_gray_drop();
-    if (telemetry_ != nullptr)
-      telemetry_->on_gray_drop(now_, node, peer, cell.flow);
-    return;
-  }
-  ++cell.hop;
-  if (cell.at_destination()) {
-    deliver(cell);
-    return;
-  }
-  metrics_.on_forward();
+// One lane's sweep, sharded across the pool (a 1-thread pool runs the
+// single shard inline). Phase 1: each shard scans its contiguous node
+// range in order, popping transmittable heads — node i only ever pops its
+// own queues, so pops are disjoint across shards — and staging the
+// advanced cells. Phase 2 (coordinating thread): stages are merged in
+// shard order, which is node order, so every side effect with observable
+// ordering (metrics, trace events, pushes, drops) replays in node order
+// and the result does not depend on the thread count.
+//
+// The replay is equivalent to an interleaved sweep in which node i pushes
+// into its peer's queue *before* nodes j > i pop. A pushed cell is never
+// transmittable in the same slot (ready_slot > now), so deferring the
+// pushes can change queue *sizes* only, never heads; the merge
+// reconstructs the interleaved-order size from the popped_ marks below.
+void SlottedNetwork::step_lane(const Matching& m, PhaseProfiler* prof) {
+  // Both the capacity check and the ECN mark decision need the
+  // interleaved-order queue size, reconstructed from the popped_ marks.
+  const bool sized =
+      config_.max_queue_cells > 0 || config_.ecn_threshold_cells > 0;
+  if (sized) std::fill(popped_.begin(), popped_.end(), std::uint8_t{0});
   // Turnaround at the relay: receivable next slot at the earliest; the
   // propagation delay is modelled in readiness as whole slots (rounded up)
   // and in wall-clock latency exactly (metrics).
-  const Slot prop_slots =
-      (config_.propagation_per_hop + config_.slot_duration - 1) /
-      config_.slot_duration;
-  cell.ready_slot = now_ + 1 + prop_slots;
-  enqueue_or_drop(cell);
-}
-
-void SlottedNetwork::step_lane_sequential(const Matching& m) {
-  for (NodeId i = 0; i < n_; ++i) {
-    const NodeId peer = m.dst_of(i);
-    if (peer != i) transmit(i, peer);
-  }
-}
-
-// One lane's sweep, sharded across the pool. Phase 1 (parallel): each
-// shard scans its contiguous node range in order, popping transmittable
-// heads — node i only ever pops its own queues, so pops are disjoint
-// across shards — and staging the advanced cells. Phase 2 (sequential):
-// stages are merged in shard order, which is node order, so every side
-// effect with observable ordering (metrics, trace events, pushes, drops)
-// replays in exactly the sequence the sequential sweep would produce.
-//
-// The one way deferred pushes could diverge from the interleaved
-// sequential sweep is the bounded-queue capacity check: sequentially,
-// node i pushes into its peer's queue *before* nodes j > i pop, and a
-// pushed cell is never transmittable in the same slot (ready_slot > now),
-// so only queue *sizes* can differ, never heads. The merge reconstructs
-// the sequential-order size from the popped_ marks below.
-void SlottedNetwork::step_lane_parallel(const Matching& m,
-                                        PhaseProfiler* prof) {
-  const bool capped = config_.max_queue_cells > 0;
-  const bool ecn_on = config_.ecn_threshold_cells > 0;
-  // Both the capacity check and the ECN mark decision need the
-  // sequential-order queue size, reconstructed from the popped_ marks.
-  const bool sized = capped || ecn_on;
-  if (sized) std::fill(popped_.begin(), popped_.end(), std::uint8_t{0});
   const Slot prop_slots =
       (config_.propagation_per_hop + config_.slot_duration - 1) /
       config_.slot_duration;
@@ -238,7 +187,9 @@ void SlottedNetwork::step_lane_parallel(const Matching& m,
               continue;
             // Gray decisions are stateless seeded hashes (no shared Rng),
             // so shards can evaluate them; the merge replays the outcome
-            // in node order like every other side effect.
+            // in node order like every other side effect. A throttled
+            // circuit's inactive slot behaves like a one-slot outage: the
+            // head cell stays queued and retries next opportunity.
             const GrayCircuit* gray = nullptr;
             if (gray_.any()) {
               gray = gray_.find(i, peer);
@@ -286,8 +237,10 @@ void SlottedNetwork::step_lane_parallel(const Matching& m,
     pops += stage.pops;
     for (StagedEvent& ev : stage.events) {
       if (ev.gray_drop) {
-        // hop was not advanced for a lost cell: current()/next_hop() are
-        // still the circuit it was popped from.
+        // Transmitted but lost in flight; the end-host retransmission
+        // policy recovers the flow, duplicates are dedupped at the
+        // receiver. hop was not advanced for a lost cell: current()/
+        // next_hop() are still the circuit it was popped from.
         if (checker_ != nullptr)
           checker_->on_transmit(now_, ev.cell.current(), ev.cell.next_hop());
         metrics_.on_gray_drop();
@@ -296,42 +249,23 @@ void SlottedNetwork::step_lane_parallel(const Matching& m,
                                    ev.cell.next_hop(), ev.cell.flow);
         continue;
       }
-      if (checker_ != nullptr)
-        checker_->on_transmit(now_, ev.cell.path.at(ev.cell.hop - 1),
-                              ev.cell.current());
+      const NodeId src = ev.cell.path.at(ev.cell.hop - 1);
+      const NodeId at = ev.cell.current();
+      if (checker_ != nullptr) checker_->on_transmit(now_, src, at);
       if (ev.deliver) {
         deliver(ev.cell);
         continue;
       }
       metrics_.on_forward();
-      if (sized) {
-        const NodeId src = ev.cell.path.at(ev.cell.hop - 1);
-        const NodeId at = ev.cell.current();
-        const NodeId next = ev.cell.next_hop();
-        // Sequentially, node `at`'s own pop this lane happens after the
-        // push from src when at > src; the parallel phase already popped,
-        // so add that cell back when sizing the capacity check. (`at` is
-        // the only node popping queue (at, next), and src the only node
-        // pushing into it this lane — the matching is a permutation.)
-        const std::uint64_t adj =
-            (at > src && popped_[static_cast<std::size_t>(at)] &&
-             m.dst_of(at) == next)
-                ? 1
-                : 0;
-        const std::uint64_t size = voqs_.size_of(at, next) + adj;
-        if (capped && size >= config_.max_queue_cells) {
-          drop(ev.cell);
-          continue;
-        }
-        // Same reconstructed size as the capacity check, so the mark is
-        // byte-identical to the one the sequential sweep would set.
-        if (ecn_on && size >= config_.ecn_threshold_cells) {
-          ev.cell.ecn = true;
-          metrics_.on_ecn_mark();
-          if (telemetry_ != nullptr) telemetry_->on_ecn_mark();
-        }
-      }
-      voqs_.push(ev.cell);
+      // In the interleaved sweep, node `at`'s own pop this lane happens
+      // after the push from src when at > src; the sweep already popped,
+      // so count that cell back when sizing. (`at` is the only node
+      // popping queue (at, next), and src the only node pushing into it
+      // this lane — the matching is a permutation.)
+      const bool unpopped = sized && at > src &&
+                            popped_[static_cast<std::size_t>(at)] &&
+                            m.dst_of(at) == ev.cell.next_hop();
+      enqueue_or_drop(ev.cell, unpopped ? 1 : 0);
     }
   }
   merge.reset();
@@ -352,12 +286,7 @@ void SlottedNetwork::step() {
       ScopedPhase advance(prof, ProfPhase::kScheduleAdvance);
       m = &schedule_->matching_at(t);
     }
-    if (pool_ != nullptr) {
-      step_lane_parallel(*m, prof);
-    } else {
-      ScopedPhase sweep(prof, ProfPhase::kLaneSweep);
-      step_lane_sequential(*m);
-    }
+    step_lane(*m, prof);
   }
   metrics_.on_slot(voqs_.total_queued());
   if (checker_ != nullptr) {
@@ -414,13 +343,6 @@ void SlottedNetwork::set_invariant_checker(InvariantChecker* checker) {
 
 void SlottedNetwork::set_threads(int threads) {
   SORN_ASSERT(threads >= 1, "need at least one engine thread");
-  if (threads <= 1) {
-    pool_.reset();
-    shard_plan_.clear();
-    stages_.clear();
-    popped_.clear();
-    return;
-  }
   pool_ = std::make_unique<ThreadPool>(threads);
   shard_plan_ = shard_ranges(n_, threads);
   stages_.assign(shard_plan_.size(), ShardStage{});
@@ -432,7 +354,7 @@ void SlottedNetwork::set_threads(int threads) {
 
 void SlottedNetwork::set_profiler(Profiler* profiler) {
   profiler_ = profiler;
-  if (pool_ != nullptr) pool_->enable_profiling(profiler != nullptr);
+  pool_->enable_profiling(profiler != nullptr);
   if (profiler == nullptr) return;
   // Register this network's byte gauges. The lambdas borrow `this`; the
   // attachment must be cleared (set_profiler(nullptr) does not unregister
@@ -452,7 +374,7 @@ void SlottedNetwork::set_profiler(Profiler* profiler) {
 }
 
 void SlottedNetwork::snapshot_pool_utilization() {
-  if (profiler_ != nullptr && pool_ != nullptr)
+  if (profiler_ != nullptr)
     profiler_->set_pool_utilization(pool_->utilization());
 }
 

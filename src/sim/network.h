@@ -43,8 +43,8 @@ struct NetworkConfig {
   // this many cells is marked (Cell::ecn) and counted in
   // SimMetrics::ecn_marked_cells; the mark is echoed to an attached
   // transport at delivery. 0 disables. The mark decision observes the
-  // same sequential-order queue size the capacity check does, so results
-  // stay byte-identical at any thread count.
+  // same node-order queue size the capacity check does, so results stay
+  // byte-identical at any thread count.
   std::uint64_t ecn_threshold_cells = 0;
   std::uint64_t seed = 42;
 };
@@ -102,17 +102,18 @@ class SlottedNetwork {
   void step();
   void run(Slot slots);
 
-  // ---- Parallel slot engine ----
-  // Shard each lane's node sweep across `threads` persistent workers.
-  // Results — metrics, traces, time-series rows — are byte-identical to
-  // the sequential engine for the same seed at any thread count: shards
-  // stage their transmit outcomes in node order and the merge replays
-  // every side effect (metrics, pushes, drops, telemetry) in exactly the
-  // sequential sweep's order (see DESIGN.md, "Parallel slot engine").
-  // threads <= 1 tears the pool down and restores the plain sequential
-  // path, which is the default every caller starts with.
+  // ---- Slot engine threads ----
+  // Shard each lane's node sweep across a pool of `threads` persistent
+  // workers, replacing the current pool (call between slots). A network
+  // starts with a 1-thread pool, which runs the sweep inline on the
+  // calling thread with no workers or synchronization. Results —
+  // metrics, traces, time-series rows — are byte-identical for the same
+  // seed at any thread count: shards stage their transmit outcomes in
+  // node order and the merge replays every side effect (metrics, pushes,
+  // drops, telemetry) in node order (see DESIGN.md, "Parallel slot
+  // engine").
   void set_threads(int threads);
-  int threads() const { return pool_ != nullptr ? pool_->thread_count() : 1; }
+  int threads() const { return pool_->thread_count(); }
 
   // Swap in a new schedule/router (the control plane's epoch-synchronous
   // update, paper Sec. 5). In-flight cells keep their old paths; this is
@@ -181,7 +182,7 @@ class SlottedNetwork {
   };
   std::uint64_t retransmit_stalled(const RetransmitPolicy& policy);
 
-  // True while the parallel sweep is running; anything that draws rng_ or
+  // True while a lane sweep is running; anything that draws rng_ or
   // mutates shared state (injection, fault ticks) must see false.
   bool in_parallel_sweep() const { return in_parallel_sweep_; }
 
@@ -201,7 +202,7 @@ class SlottedNetwork {
 
   // ---- Profiling (src/obs/prof) ----
   // Attach a borrowed profiler: step() wraps each engine phase in a
-  // scoped timer, the pool (if any) starts utilization accounting, and
+  // scoped timer, the pool starts utilization accounting, and
   // the network registers its byte gauges (VOQ storage, stored matchings,
   // flow records, retransmit state, distributions) with the profiler's
   // MemoryAccountant. Profiling only reads clocks and sizes — sim results
@@ -211,7 +212,7 @@ class SlottedNetwork {
   void set_profiler(Profiler* profiler);
   Profiler* profiler() const { return profiler_; }
   // Copy the pool's utilization counters into the attached profiler
-  // (no-op without both a profiler and a pool). Call at end of run.
+  // (no-op without a profiler). Call at end of run.
   void snapshot_pool_utilization();
 
   // ---- Invariant checking (sim/invariants.h) ----
@@ -227,9 +228,9 @@ class SlottedNetwork {
   // ---- Closed-loop transport (sim/transport_hook.h) ----
   // Attach a borrowed transport: every first-copy delivery is echoed back
   // through Transport::on_ack, always on the coordinating thread (the
-  // sequential sweep or the parallel merge replay), so the §6 determinism
-  // contract holds with a transport attached. nullptr detaches; detached
-  // sites cost one null check.
+  // lane sweep's merge replay), so the §6 determinism contract holds with
+  // a transport attached. nullptr detaches; detached sites cost one null
+  // check.
   void set_transport(Transport* transport) { transport_ = transport; }
   Transport* transport() const { return transport_; }
 
@@ -240,8 +241,8 @@ class SlottedNetwork {
   const Router* router() const { return router_; }
 
  private:
-  // Staged outcome of one transmit, produced by the parallel sweep and
-  // replayed in node order by the merge phase. The cell is already
+  // Staged outcome of one transmit, produced by the lane sweep's shards
+  // and replayed in node order by the merge phase. The cell is already
   // advanced (hop incremented, ready_slot set for forwards).
   struct StagedEvent {
     Cell cell;
@@ -255,18 +256,18 @@ class SlottedNetwork {
     std::uint64_t pops = 0;           // settled into VoqSet::total_ at merge
   };
 
-  void transmit(NodeId node, NodeId peer);
-  void step_lane_sequential(const Matching& m);
-  void step_lane_parallel(const Matching& m, PhaseProfiler* prof);
+  // Sweep one lane: sharded pops, then the merge replay (see network.cpp).
+  void step_lane(const Matching& m, PhaseProfiler* prof);
   // Tail-drop accounting + telemetry for a cell that failed to enqueue.
   void drop(const Cell& cell);
-  // Enqueue with the capacity check and ECN marking evaluated against the
-  // same queue size, in sequential-site order. Used by every push site
-  // except the parallel merge, which reconstructs the sequential-order
-  // size from popped_ first (see step_lane_parallel).
-  void enqueue_or_drop(Cell& cell);
-  // Delivery bookkeeping shared by both engines: invariant hook, metrics,
-  // and the transport ack echo for first copies.
+  // The one capacity/ECN admission decision, made for every push:
+  // injection, retransmission and the merge's forwards. Both the capacity
+  // check and the ECN mark judge size_of(target queue) + `unpopped`; the
+  // merge passes 1 for a pop that the node owning the target queue makes
+  // after this push in node order (see step_lane).
+  void enqueue_or_drop(Cell& cell, std::uint64_t unpopped = 0);
+  // Delivery bookkeeping: invariant hook, metrics, and the transport ack
+  // echo for first copies.
   void deliver(const Cell& cell);
 
   const CircuitSchedule* schedule_;
@@ -280,7 +281,6 @@ class SlottedNetwork {
   VoqSet voqs_;
   SimMetrics metrics_;
   Rng rng_;
-  FlowId next_anonymous_flow_ = 1ULL << 62;
   FailureView failures_;
   GrayFailureView gray_;
   Telemetry* telemetry_ = nullptr;
@@ -288,15 +288,16 @@ class SlottedNetwork {
   InvariantChecker* checker_ = nullptr;
   Transport* transport_ = nullptr;
 
-  // Parallel engine state. rng_ must never be drawn inside the parallel
-  // sweep (injection — the only RNG consumer — happens between slots);
-  // in_parallel_sweep_ guards against that ever regressing.
+  // Slot engine state. rng_ must never be drawn inside the lane sweep
+  // (injection — the only RNG consumer — happens between slots);
+  // in_parallel_sweep_ guards against that ever regressing. pool_ is
+  // never null: the constructor installs a 1-thread pool.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<ShardRange> shard_plan_;
   std::vector<ShardStage> stages_;
   // Per-node "popped its VOQ head this lane" marks, used by the merge to
-  // reconstruct the sequential-order queue size for capacity checks and
-  // ECN mark decisions.
+  // reconstruct the node-order queue size for capacity checks and ECN
+  // mark decisions.
   std::vector<std::uint8_t> popped_;
   bool in_parallel_sweep_ = false;
 };

@@ -6,9 +6,10 @@
 // depend on that library, so the two touch points are abstracted here:
 //
 //   - SlottedNetwork borrows a Transport* and echoes every first-copy
-//     delivery back through on_ack() (always from the coordinating thread,
-//     during the merge replay — the §6 determinism contract, see
-//     DESIGN.md "Parallel slot engine").
+//     delivery back through on_ack(), always from the coordinating thread
+//     during the lane sweep's merge replay, which is the one engine path
+//     at every thread count (the §6 determinism contract, see DESIGN.md
+//     "Parallel slot engine").
 //   - WorkloadDriver borrows the same Transport* and, when attached,
 //     registers arrivals via open_flow() and calls pump() once per slot
 //     (after that slot's arrivals, before step()) to release windowed

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/json_parse.h"
 #include "scenario/scenario_runner.h"
 
 namespace sorn {
@@ -32,13 +33,14 @@ struct Artifacts {
   std::uint64_t delivered = 0;
 };
 
-Artifacts run_scenario(int threads, bool profile) {
+Artifacts run_scenario(int threads, bool profile, int lanes = 1) {
   // PID-unique path: ctest runs each TEST of this binary as its own
   // concurrent process, so a fixed name would be written by several
   // processes at once.
   const std::string trace_path =
       testing::TempDir() + "prof_det_" + std::to_string(::getpid()) + "_" +
-      std::to_string(threads) + (profile ? "_p" : "_np") + ".jsonl";
+      std::to_string(threads) + "_" + std::to_string(lanes) +
+      (profile ? "_p" : "_np") + ".jsonl";
 
   ScenarioConfig cfg;
   cfg.design = "sorn";
@@ -47,6 +49,7 @@ Artifacts run_scenario(int threads, bool profile) {
   cfg.locality_x = 0.6;
   cfg.propagation_ns = 0;
   cfg.threads = threads;
+  cfg.lanes = lanes;
   cfg.load = 0.4;
   cfg.slots = 400;
   cfg.drain_slots = 2000;
@@ -124,6 +127,29 @@ TEST(ProfileDeterminismTest, ProfileReportsEveryExercisedPhase) {
               std::string::npos)
         << gauge;
   }
+}
+
+// A 1-thread run sweeps through the same pool as any other thread count:
+// an inline pool with one worker (the calling thread) and one batch per
+// lane sweep. batches == slots x lanes pins the per-lane barrier count.
+TEST(ProfileDeterminismTest, OneThreadProfileReportsTheInlinePool) {
+  constexpr int kLanes = 2;
+  const Artifacts prof = run_scenario(1, true, kLanes);
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(prof.profile_json, &doc, &error)) << error;
+  const JsonValue* slots = doc.find("slots");
+  const JsonValue* pool = doc.find("pool");
+  ASSERT_NE(slots, nullptr);
+  ASSERT_NE(pool, nullptr);
+  ASSERT_GT(slots->as_int(), 0);
+  EXPECT_EQ(pool->find("threads")->as_int(), 1);
+  ASSERT_EQ(pool->find("workers")->items().size(), 1u);
+  EXPECT_EQ(pool->find("batches")->as_int(), slots->as_int() * kLanes);
+  // One shard per batch, all run by the one worker.
+  EXPECT_EQ(pool->find("shards")->as_int(), slots->as_int() * kLanes);
+  EXPECT_EQ(pool->find("workers")->items()[0].find("shards")->as_int(),
+            slots->as_int() * kLanes);
 }
 
 }  // namespace

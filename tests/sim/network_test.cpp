@@ -157,5 +157,13 @@ TEST(NetworkTest, ResetMetricsKeepsQueuedCells) {
   EXPECT_EQ(net.metrics().delivered_cells(), 1u);
 }
 
+TEST(NetworkTest, NullScheduleFailsTheAssertInsteadOfCrashing) {
+  // The node count is read from the schedule in the member-initializer
+  // list; the null check must run before that first dereference.
+  const DirectRouter router;
+  EXPECT_DEATH(SlottedNetwork(nullptr, &router, fast_config()),
+               "needs a schedule");
+}
+
 }  // namespace
 }  // namespace sorn

@@ -8,11 +8,19 @@
 // bounded queues with tail drops (the merge's sequential-order capacity
 // reconstruction), multiple lanes, failures, and a full open-loop
 // workload with telemetry attached.
+//
+// Each scenario's 1-thread artifacts are also pinned by FNV-1a digest.
+// The digests were captured from the sequential lane sweep that ran
+// 1-thread simulations before the staged sweep became the only engine,
+// so the 1-vs-N comparisons keep an absolute reference, not only a
+// relative one.
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <string>
 #include <vector>
 
+#include "artifact_digest.h"
 #include "core/sorn.h"
 #include "fault/fault_injector.h"
 #include "obs/export.h"
@@ -149,6 +157,9 @@ Artifacts run_failures(int threads) {
   net.run(200);
 
   Artifacts out;
+  ExportOptions eopts;
+  eopts.nodes = 12;
+  out.metrics_json = run_to_json(net.metrics(), nullptr, eopts);
   out.delivered = net.metrics().delivered_cells();
   out.dropped = net.metrics().dropped_cells();
   out.forwarded = net.metrics().forwarded_cells();
@@ -278,8 +289,30 @@ void expect_identical(const Artifacts& base, const Artifacts& other,
   EXPECT_EQ(base.in_flight, other.in_flight) << "threads=" << threads;
 }
 
+// FNV-1a digests of one scenario's artifacts; kFnvOffset (the digest of
+// no bytes) marks an artifact the scenario does not produce.
+struct Digests {
+  std::uint64_t metrics_json = digest::kFnvOffset;
+  std::uint64_t timeseries_csv = digest::kFnvOffset;
+  std::uint64_t trace = digest::kFnvOffset;
+};
+
+void expect_digests(const Artifacts& a, const Digests& want) {
+  EXPECT_EQ(digest::fnv1a(a.metrics_json), want.metrics_json)
+      << std::hex << "metrics_json digest 0x"
+      << digest::fnv1a(a.metrics_json);
+  EXPECT_EQ(digest::fnv1a(a.timeseries_csv), want.timeseries_csv)
+      << std::hex << "timeseries_csv digest 0x"
+      << digest::fnv1a(a.timeseries_csv);
+  EXPECT_EQ(digest::fnv1a_lines(a.trace_lines), want.trace)
+      << std::hex << "trace digest 0x" << digest::fnv1a_lines(a.trace_lines);
+}
+
 TEST(ParallelEquivalenceTest, WorkloadArtifactsAreByteIdentical) {
   const Artifacts base = run_workload(1);
+  expect_digests(base, Digests{.metrics_json = 0xba7dd59ad807d878,
+                               .timeseries_csv = 0xf091c471abfd943d,
+                               .trace = 0xed13ea1560da1112});
   ASSERT_GT(base.delivered, 0u);
   ASSERT_GT(base.forwarded, 0u);  // relayed cells exercise deferred pushes
   ASSERT_FALSE(base.trace_lines.empty());
@@ -291,6 +324,8 @@ TEST(ParallelEquivalenceTest, WorkloadArtifactsAreByteIdentical) {
 
 TEST(ParallelEquivalenceTest, CappedQueuesDropIdentically) {
   const Artifacts base = run_capped(1);
+  expect_digests(base, Digests{.metrics_json = 0xdbb621c6ba9f37b7,
+                               .trace = 0x35cac278f8e3a8fb});
   ASSERT_GT(base.dropped, 0u) << "scenario must exercise tail drops";
   ASSERT_GT(base.forwarded, 0u);
   for (const int threads : kThreadCounts) {
@@ -304,6 +339,9 @@ TEST(ParallelEquivalenceTest, CappedQueuesDropIdentically) {
 // count for good measure).
 TEST(ParallelEquivalenceTest, FaultInjectionArtifactsAreByteIdentical) {
   const Artifacts base = run_faulted_workload(1);
+  expect_digests(base, Digests{.metrics_json = 0xb0a5b8a9ffe2e11e,
+                               .timeseries_csv = 0x0bc87a28a3fadf95,
+                               .trace = 0xae354f888c6fccba});
   ASSERT_GT(base.delivered, 0u);
   ASSERT_FALSE(base.trace_lines.empty());
   bool saw_fault_event = false;
@@ -319,6 +357,9 @@ TEST(ParallelEquivalenceTest, FaultInjectionArtifactsAreByteIdentical) {
 // mid-run reconfigure) byte-identical at 1 vs 2 vs 7 threads.
 TEST(ParallelEquivalenceTest, LargeNReconfigureArtifactsAreByteIdentical) {
   const Artifacts base = run_large_reconfigure(1);
+  expect_digests(base, Digests{.metrics_json = 0xb38b2d1ebbbfc3b7,
+                               .timeseries_csv = 0x5444aeaa28b4f842,
+                               .trace = 0x5bbddc3f14530a7a});
   ASSERT_GT(base.dropped, 0u) << "scenario must exercise tail drops";
   ASSERT_GT(base.forwarded, 0u);
   ASSERT_GT(base.delivered, 0u);
@@ -330,6 +371,7 @@ TEST(ParallelEquivalenceTest, LargeNReconfigureArtifactsAreByteIdentical) {
 
 TEST(ParallelEquivalenceTest, FailuresShardIdentically) {
   const Artifacts base = run_failures(1);
+  expect_digests(base, Digests{.metrics_json = 0xe679eaff3fd58a15});
   ASSERT_GT(base.delivered, 0u);
   for (const int threads : kThreadCounts) {
     if (threads == 1) continue;
@@ -339,7 +381,7 @@ TEST(ParallelEquivalenceTest, FailuresShardIdentically) {
 
 TEST(ParallelEquivalenceTest, SwitchingThreadCountsMidRunIsSeamless) {
   // One network, thread count changed between (not within) slots: the
-  // trajectory must match an all-sequential run.
+  // trajectory must match an all-1-thread run.
   const CircuitSchedule s = ScheduleBuilder::round_robin(8);
   const VlbRouter router(&s, LbMode::kRandom);
   NetworkConfig config;
@@ -359,7 +401,9 @@ TEST(ParallelEquivalenceTest, SwitchingThreadCountsMidRunIsSeamless) {
     net.run(50);
     return net.metrics().delivered_cells();
   };
-  EXPECT_EQ(run(false), run(true));
+  const std::uint64_t one_thread = run(false);
+  EXPECT_EQ(one_thread, 120u);  // pinned from the sequential lane sweep
+  EXPECT_EQ(one_thread, run(true));
 }
 
 }  // namespace

@@ -5,11 +5,17 @@
 // sequential-order queue-size reconstruction (the merge phase's
 // popped_/adj bookkeeping) on the line together with the ack echo, which
 // must happen on the coordinating thread only.
+//
+// The 1-thread artifacts are also pinned by FNV-1a digest, captured from
+// the sequential lane sweep that ran 1-thread simulations before the
+// staged sweep became the only engine.
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <string>
 #include <vector>
 
+#include "artifact_digest.h"
 #include "core/sorn.h"
 #include "obs/export.h"
 #include "sim/workload_driver.h"
@@ -96,6 +102,12 @@ TEST(TransportEquivalenceTest, GrayBlastArtifactsAreByteIdentical) {
   ASSERT_GT(base.delivered, 0u);
   ASSERT_GT(base.ecn_marked, 0u) << "the blast must actually mark cells";
   ASSERT_GT(base.acked, 0u);
+  EXPECT_EQ(digest::fnv1a(base.metrics_json), 0x52c4fa9c2b6c17afULL)
+      << std::hex << "metrics_json digest 0x"
+      << digest::fnv1a(base.metrics_json);
+  EXPECT_EQ(digest::fnv1a_lines(base.trace_lines), 0xff1d23862328374dULL)
+      << std::hex << "trace digest 0x"
+      << digest::fnv1a_lines(base.trace_lines);
   for (const int threads : {4, 7}) {
     const Artifacts other = run_gray_blast(threads);
     EXPECT_EQ(base.metrics_json, other.metrics_json) << "threads=" << threads;

@@ -1,6 +1,7 @@
 #include "obs/json_parse.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace sorn {
@@ -244,9 +245,12 @@ class Parser {
     }
     const std::string token(text_.substr(start, pos_ - start));
     if (integral) {
+      // An integer beyond int64 stays a plain number instead of being
+      // clamped to the int64 limit by strtoll.
       char* end = nullptr;
+      errno = 0;
       const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (end != nullptr && *end == '\0') {
+      if (end != nullptr && *end == '\0' && errno != ERANGE) {
         *out = JsonValue::integer(v);
         return true;
       }

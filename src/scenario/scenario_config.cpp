@@ -1,255 +1,376 @@
 #include "scenario/scenario_config.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
 #include "obs/json.h"
 #include "obs/json_parse.h"
+#include "util/args.h"
+#include "util/table.h"
 
 namespace sorn {
-
-namespace {
-
-struct EnumEntry {
-  const char* name;
-  int value;
-};
-
-constexpr EnumEntry kWorkloads[] = {
-    {"flows", static_cast<int>(WorkloadKind::kFlows)},
-    {"saturation", static_cast<int>(WorkloadKind::kSaturation)},
-    {"flow-saturation", static_cast<int>(WorkloadKind::kFlowSaturation)},
-    {"incast", static_cast<int>(WorkloadKind::kIncast)},
-    {"collective", static_cast<int>(WorkloadKind::kCollective)},
-    {"oversub-rack", static_cast<int>(WorkloadKind::kOversubRack)},
-};
-constexpr EnumEntry kTraffics[] = {
-    {"locality", static_cast<int>(TrafficKind::kLocality)},
-    {"uniform", static_cast<int>(TrafficKind::kUniform)},
-    {"ring", static_cast<int>(TrafficKind::kRing)},
-    {"hier-locality", static_cast<int>(TrafficKind::kHierLocality)},
-};
-constexpr EnumEntry kFlowSizes[] = {
-    {"pfabric-web-search", static_cast<int>(FlowSizeKind::kPfabricWebSearch)},
-    {"pfabric-data-mining",
-     static_cast<int>(FlowSizeKind::kPfabricDataMining)},
-    {"fixed", static_cast<int>(FlowSizeKind::kFixed)},
-};
-constexpr EnumEntry kClassifies[] = {
-    {"none", static_cast<int>(ClassifyKind::kNone)},
-    {"clique", static_cast<int>(ClassifyKind::kClique)},
-    {"size", static_cast<int>(ClassifyKind::kSize)},
-};
-
-template <std::size_t N>
-const char* enum_name(const EnumEntry (&table)[N], int value) {
-  for (const EnumEntry& e : table)
-    if (e.value == value) return e.name;
-  return "?";
-}
-
-template <std::size_t N>
-bool enum_parse(const EnumEntry (&table)[N], std::string_view name,
-                int* out) {
-  for (const EnumEntry& e : table) {
-    if (name == e.name) {
-      *out = e.value;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-const char* workload_kind_name(WorkloadKind k) {
-  return enum_name(kWorkloads, static_cast<int>(k));
-}
 
 bool workload_uses_flow_driver(WorkloadKind k) {
   return k == WorkloadKind::kFlows || k == WorkloadKind::kIncast ||
          k == WorkloadKind::kCollective || k == WorkloadKind::kOversubRack;
 }
-const char* traffic_kind_name(TrafficKind k) {
-  return enum_name(kTraffics, static_cast<int>(k));
+
+namespace {
+
+using SC = ScenarioConfig;
+
+constexpr FieldLimits at_least(double lo) { return {.lo = lo}; }
+constexpr FieldLimits within(double lo, double hi) {
+  return {.lo = lo, .hi = hi};
 }
-const char* flow_size_kind_name(FlowSizeKind k) {
-  return enum_name(kFlowSizes, static_cast<int>(k));
+constexpr FieldLimits above(double lo, double hi) {
+  return {.lo = lo, .hi = hi, .lo_open = true};
 }
-const char* classify_kind_name(ClassifyKind k) {
-  return enum_name(kClassifies, static_cast<int>(k));
+constexpr FieldLimits one_of(const char* choices) {
+  return {.choices = choices};
+}
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The field table. Row order is the to_json key order, which scenario
+// files and the pinned default document depend on.
+const ScenarioField kFields[] = {
+    {"design", &SC::design, "--design", "sorn_tool designs lists them"},
+    {"nodes", &SC::nodes, "--nodes", "node count N", at_least(2)},
+    {"cliques", &SC::cliques, "--cliques", "clique count Nc", at_least(1)},
+    {"locality", &SC::locality_x, "--locality", "intra-clique traffic share x",
+     within(0, 1)},
+    {"q_num", &SC::q_num, nullptr, "sorn q numerator; q = 0/1 derives q*(x)",
+     at_least(0)},
+    {"q_den", &SC::q_den, nullptr, "sorn q denominator", at_least(1)},
+    {"max_q_denominator", &SC::max_q_denominator, nullptr,
+     "cap on the derived q* denominator"},
+    {"lb_first_available", &SC::lb_first_available, nullptr,
+     "first-available load balancing (sorn, vlb, rotor)"},
+    {"inter_clique_weights", &SC::inter_clique_weights, nullptr,
+     "Nc x Nc inter-slot weights; empty = round robin"},
+    {"weighted_alpha", &SC::weighted_alpha, nullptr, "weighted-inter mix"},
+    {"clusters", &SC::clusters, nullptr, "hier: clusters"},
+    {"pods_per_cluster", &SC::pods_per_cluster, nullptr, "hier: pods each"},
+    {"pod_locality_x1", &SC::pod_locality_x1, nullptr, "hier: pod share"},
+    {"cluster_locality_x2", &SC::cluster_locality_x2, nullptr,
+     "hier: cluster share"},
+    {"dwell_slots", &SC::dwell_slots, nullptr, "rotor/opera: matching dwell"},
+    {"schedule_seed", &SC::schedule_seed, nullptr, "opera: schedule seed"},
+    {"max_short_hops", &SC::max_short_hops, nullptr, "opera: hop budget"},
+    {"bulk_cutoff_bytes", &SC::bulk_cutoff_bytes, nullptr,
+     "larger flows go direct; 0 = no split"},
+    {"orn_dims", &SC::orn_dims, nullptr, "orn-hd/orn-mixed: dimensions"},
+    {"radices", &SC::radices, nullptr, "orn-mixed: radices; empty = auto"},
+    {"lanes", &SC::lanes, nullptr, "circuit lanes per node", at_least(1)},
+    {"slot_ns", &SC::slot_ns, nullptr, "slot length (ns)", at_least(1)},
+    {"propagation_ns", &SC::propagation_ns, nullptr, "per-hop delay (ns)",
+     at_least(0)},
+    {"cell_bytes", &SC::cell_bytes, nullptr, "cell size (bytes)"},
+    {"max_queue_cells", &SC::max_queue_cells, nullptr, "VOQ cap; 0 = none"},
+    {"seed", &SC::seed, "--seed", "network RNG seed"},
+    {"threads", &SC::threads, "--threads",
+     "engine threads, 0 = hardware; same bytes at any value", at_least(0)},
+    {"traffic", &SC::traffic, nullptr, "traffic matrix family",
+     one_of("locality|uniform|ring|hier-locality")},
+    {"ring_heavy_share", &SC::ring_heavy_share, nullptr, "ring: heavy share"},
+    {"traffic_backend", &SC::traffic_backend, "--traffic-backend",
+     "demand storage; same bytes", one_of("dense|sparse|procedural")},
+    {"workload", &SC::workload, "--workload", "traffic driver",
+     one_of("flows|saturation|flow-saturation|incast|collective|"
+            "oversub-rack")},
+    {"load", &SC::load, "--load", "offered load per node", above(0, kInf)},
+    {"slots", &SC::slots, "--slots", "flow arrival horizon", at_least(1)},
+    {"drain_slots", &SC::drain_slots, nullptr, "post-horizon drain budget",
+     at_least(0)},
+    {"warmup_slots", &SC::warmup_slots, nullptr, "saturation: warmup",
+     at_least(0)},
+    {"measure_slots", &SC::measure_slots, nullptr, "saturation: measured",
+     at_least(1)},
+    {"flow_size", &SC::flow_size, nullptr, "flow size population",
+     one_of("pfabric-web-search|pfabric-data-mining|fixed")},
+    {"fixed_flow_bytes", &SC::fixed_flow_bytes, nullptr, "fixed flow size"},
+    {"flow_size_cap", &SC::flow_size_cap, nullptr, "size cap; 0 = none"},
+    {"classify", &SC::classify, nullptr, "FCT percentile classes",
+     one_of("none|clique|size")},
+    {"arrival_seed", &SC::arrival_seed, nullptr, "flow arrival seed"},
+    {"workload_seed", &SC::workload_seed, nullptr, "saturation source seed"},
+    {"incast_fanin", &SC::incast_fanin, "--incast-fanin",
+     "incast senders per wave, <= nodes - 1", at_least(1)},
+    {"incast_bytes", &SC::incast_bytes, "--incast-bytes",
+     "bytes per incast sender", at_least(1)},
+    {"incast_period_slots", &SC::incast_period_slots, "--incast-period",
+     "slots between incast waves", at_least(1)},
+    {"collective_kind", &SC::collective_kind, "--collective",
+     "allreduce shape", one_of("ring|tree")},
+    {"collective_bytes", &SC::collective_bytes, "--collective-bytes",
+     "allreduce bytes per node", at_least(1)},
+    {"collective_phase_gap_slots", &SC::collective_phase_gap_slots,
+     "--collective-gap", "slots between allreduce phases", at_least(1)},
+    {"rack_local_frac", &SC::rack_local_frac, "--rack-local-frac",
+     "oversub-rack: in-rack demand share", within(0, 1)},
+    {"oversub_factor", &SC::oversub_factor, "--oversub-factor",
+     "oversub-rack: inter-rack multiplier", at_least(1)},
+    {"transport", &SC::transport, "--transport", "end-host transport",
+     one_of("open-loop|dctcp")},
+    {"ecn_threshold_cells", &SC::ecn_threshold_cells, "--ecn-threshold",
+     "VOQ depth that marks ECN; 0 = no marking"},
+    {"init_cwnd_cells", &SC::init_cwnd_cells, "--init-cwnd",
+     "initial DCTCP window (cells)", at_least(1)},
+    {"max_cwnd_cells", &SC::max_cwnd_cells, "--max-cwnd",
+     "DCTCP window cap (cells)", at_least(1)},
+    {"dctcp_gain", &SC::dctcp_gain, "--dctcp-gain", "DCTCP alpha gain g",
+     above(0, 1)},
+    {"trace", &SC::trace_path, "--trace", "JSONL event trace path"},
+    {"metrics_json", &SC::metrics_json_path, "--metrics-json",
+     "metrics JSON path"},
+    {"timeseries_csv", &SC::timeseries_csv_path, "--timeseries-csv",
+     "per-slot CSV path"},
+    {"sample_every", &SC::sample_every, "--sample-every",
+     "CSV row every k slots", at_least(1)},
+    {"profile", &SC::profile, "--profile", "attach the self-profiler"},
+    {"profile_json", &SC::profile_json_path, "--profile-json",
+     "profile report path; implies profile"},
+    {"fault_script", &SC::fault_script, nullptr, "inline fault script"},
+    {"fault_script_path", &SC::fault_script_path, "--fault-script",
+     "fault script file"},
+    {"mtbf", &SC::node_mtbf_slots, "--mtbf", "node MTBF (slots)", at_least(0)},
+    {"mttr", &SC::node_mttr_slots, "--mttr", "node MTTR (slots)", at_least(0)},
+    {"circuit_mtbf", &SC::circuit_mtbf_slots, "--circuit-mtbf",
+     "circuit MTBF (slots)", at_least(0)},
+    {"circuit_mttr", &SC::circuit_mttr_slots, "--circuit-mttr",
+     "circuit MTTR (slots)", at_least(0)},
+    {"fault_seed", &SC::fault_seed, "--fault-seed", "fault RNG seed"},
+    {"epoch_slots", &SC::epoch_slots, "--epoch-slots",
+     "replan every epoch; 0 = no control loop", at_least(0)},
+    {"update_delay_slots", &SC::update_delay_slots, "--update-delay",
+     "replan staging delay (slots)", at_least(0)},
+    {"control_outages", &SC::control_outages, "--control-outages",
+     "controller outages as [start, end) slot pairs", at_least(0)},
+    {"controller_mtbf", &SC::controller_mtbf_slots, "--controller-mtbf",
+     "controller MTBF (slots)", at_least(0)},
+    {"controller_mttr", &SC::controller_mttr_slots, "--controller-mttr",
+     "controller MTTR (slots)", at_least(0)},
+    {"control_fault_seed", &SC::control_fault_seed, "--control-fault-seed",
+     "controller fault RNG seed"},
+    {"replan_apply_delay", &SC::replan_apply_delay, "--replan-apply-delay",
+     "extra slots before a replan applies", at_least(0)},
+    {"estimate_stale_epochs", &SC::estimate_stale_epochs,
+     "--estimate-stale-epochs", "telemetry lag (epochs)", at_least(0)},
+    {"estimate_noise", &SC::estimate_noise, "--estimate-noise",
+     "telemetry noise amplitude", within(0, 1)},
+    {"safe_mode", &SC::safe_mode, "--safe-mode",
+     "data plane while the controller is down", one_of("hold|vlb")},
+    {"check_invariants", &SC::check_invariants, "--check-invariants",
+     "check the slot invariants every slot"},
+    {"retransmit_timeout", &SC::retransmit_timeout, "--retransmit-timeout",
+     "stall timeout (slots); 0 = off", at_least(0)},
+    {"retransmit_max_attempts", &SC::retransmit_max_attempts,
+     "--retransmit-max-attempts", "retransmissions per flow", at_least(1)},
+    {"retransmit_jitter", &SC::retransmit_jitter, "--retransmit-jitter",
+     "backoff jitter, fraction of the wait", within(0, 1)},
+};
+
+template <typename T>
+constexpr bool kIsList = false;
+template <typename T>
+constexpr bool kIsList<std::vector<T>> = true;
+
+std::vector<std::string_view> split(std::string_view text, char sep) {
+  std::vector<std::string_view> parts;
+  for (std::size_t pos = 0;;) {
+    const std::size_t end = std::min(text.find(sep, pos), text.size());
+    parts.push_back(text.substr(pos, end - pos));
+    if (end == text.size()) return parts;
+    pos = end + 1;
+  }
 }
 
-bool parse_workload_kind(std::string_view name, WorkloadKind* out) {
-  int v = 0;
-  if (!enum_parse(kWorkloads, name, &v)) return false;
-  *out = static_cast<WorkloadKind>(v);
+int choice_index(const char* choices, std::string_view name) {
+  const std::vector<std::string_view> names = split(choices, '|');
+  const auto it = std::find(names.begin(), names.end(), name);
+  return it == names.end() ? -1 : static_cast<int>(it - names.begin());
+}
+
+// The accepted values as text; empty when any value of the type is.
+std::string limits_text(const FieldLimits& l) {
+  if (l.choices != nullptr) return std::string("one of ") + l.choices;
+  if (l.hi == kInf) {
+    if (l.lo == -kInf) return "";
+    return (l.lo_open ? "> " : ">= ") + format("%g", l.lo);
+  }
+  return (l.lo_open ? "in (" : "in [") + format("%g", l.lo) + ", " +
+         format("%g", l.hi) + "]";
+}
+
+template <typename T>
+std::string value_text(const T& v, const FieldLimits& limits) {
+  if constexpr (kIsList<T>) {
+    std::string text;
+    for (const auto& item : v)
+      text += (text.empty() ? "" : ",") + value_text(item, limits);
+    return text;
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::size_t i = static_cast<std::size_t>(v);
+    return std::string(split(limits.choices, '|')[i]);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return format("%g", v);
+  } else {
+    return v;
+  }
+}
+
+template <typename T>
+void write(JsonWriter& w, const T& v, const FieldLimits& limits) {
+  if constexpr (kIsList<T>) {
+    w.begin_array();
+    for (const auto& item : v) write(w, item, limits);
+    w.end_array();
+  } else if constexpr (std::is_enum_v<T>) {
+    w.value(value_text(v, limits));
+  } else if constexpr (std::is_same_v<T, std::int32_t> ||
+                       std::is_same_v<T, std::uint32_t>) {
+    w.value(static_cast<std::int64_t>(v));
+  } else {
+    w.value(v);
+  }
+}
+
+// Type-checks one JSON value into *out. Integers must fit T; enum names
+// must be one of the row's choices. Errors name the field as `name`.
+template <typename T>
+bool decode(const JsonValue& v, const FieldLimits& limits,
+            std::string_view name, T* out, std::string* error) {
+  auto fail = [&](const std::string& wanted) {
+    *error = std::string(name) + " must be " + wanted;
+    return false;
+  };
+  if constexpr (kIsList<T>) {
+    if (!v.is_array()) return fail("an array");
+    T items;
+    for (const JsonValue& item : v.items()) {
+      typename T::value_type x{};
+      if (!decode(item, limits, name, &x, error)) return false;
+      items.push_back(x);
+    }
+    *out = std::move(items);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) return fail("true or false");
+    *out = v.as_bool();
+  } else if constexpr (std::is_integral_v<T>) {
+    if (!v.is_number() || !v.is_integer()) return fail("an integer");
+    if (!std::in_range<T>(v.as_int()))
+      return fail("an integer in [" +
+                  std::to_string(std::numeric_limits<T>::min()) + ", " +
+                  std::to_string(std::numeric_limits<T>::max()) + "] (got " +
+                  std::to_string(v.as_int()) + ")");
+    *out = static_cast<T>(v.as_int());
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!v.is_number()) return fail("a number");
+    *out = v.as_double();
+  } else {
+    if (!v.is_string()) return fail("a string");
+    if constexpr (std::is_enum_v<T>) {
+      const int i = choice_index(limits.choices, v.as_string());
+      if (i < 0)
+        return fail(limits_text(limits) + " (got " + v.as_string() + ")");
+      *out = static_cast<T>(i);
+    } else {
+      *out = v.as_string();
+    }
+  }
   return true;
 }
-bool parse_traffic_kind(std::string_view name, TrafficKind* out) {
-  int v = 0;
-  if (!enum_parse(kTraffics, name, &v)) return false;
-  *out = static_cast<TrafficKind>(v);
-  return true;
+
+// The row's range (or choice list) check on a decoded value.
+template <typename T>
+bool check(const T& v, const FieldLimits& limits, std::string_view name,
+           std::string* error) {
+  bool ok = true;
+  if constexpr (kIsList<T>) {
+    for (const auto& item : v)
+      if (!check(item, limits, name, error)) return false;
+  } else if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    const auto d = static_cast<double>(v);
+    ok = (limits.lo_open ? d > limits.lo : d >= limits.lo) && d <= limits.hi;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    ok = limits.choices == nullptr || choice_index(limits.choices, v) >= 0;
+  }
+  if (!ok) {
+    const std::string wanted = limits_text(limits);
+    *error = std::string(name) + " must be " +
+             (wanted.empty() ? "a number" : wanted) + " (got " +
+             value_text(v, limits) + ")";
+  }
+  return ok;
 }
-bool parse_flow_size_kind(std::string_view name, FlowSizeKind* out) {
-  int v = 0;
-  if (!enum_parse(kFlowSizes, name, &v)) return false;
-  *out = static_cast<FlowSizeKind>(v);
-  return true;
+
+// A flag's value token as the JSON value decode() takes for a T member.
+// Numbers must be a whole token; a list splits on commas, and an empty
+// token is the empty list.
+template <typename T>
+std::optional<JsonValue> token_value(const std::string& token) {
+  if constexpr (kIsList<T>) {
+    std::vector<JsonValue> items;
+    if (!token.empty()) {
+      for (const std::string_view item : split(token, ',')) {
+        auto v = token_value<typename T::value_type>(std::string(item));
+        if (!v) return std::nullopt;
+        items.push_back(std::move(*v));
+      }
+    }
+    return JsonValue::array(std::move(items));
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    char* end = nullptr;
+    errno = 0;
+    const char* s = token.c_str();
+    JsonValue v = std::is_integral_v<T>
+                      ? JsonValue::integer(std::strtoll(s, &end, 10))
+                      : JsonValue::number(std::strtod(s, &end));
+    if (token.empty() || *end != '\0' || errno == ERANGE) return std::nullopt;
+    return v;
+  } else {
+    return JsonValue::string(token);
+  }
 }
-bool parse_classify_kind(std::string_view name, ClassifyKind* out) {
-  int v = 0;
-  if (!enum_parse(kClassifies, name, &v)) return false;
-  *out = static_cast<ClassifyKind>(v);
-  return true;
+
+template <typename T>
+std::string metavar(const FieldLimits& limits) {
+  if constexpr (kIsList<T>) {
+    const std::string item = metavar<typename T::value_type>(limits);
+    return item + "," + item + ",...";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return "";
+  } else if constexpr (std::is_integral_v<T>) {
+    return "INT";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return "NUM";
+  } else {
+    return limits.choices != nullptr ? "NAME" : "STR";
+  }
 }
+
+}  // namespace
+
+std::span<const ScenarioField> scenario_fields() { return kFields; }
 
 std::string ScenarioConfig::to_json() const {
   JsonWriter w;
   w.begin_object();
-  w.field("design", design);
-  w.field("nodes", static_cast<std::int64_t>(nodes));
-  w.field("cliques", static_cast<std::int64_t>(cliques));
-  w.field("locality", locality_x);
-  w.field("q_num", q_num);
-  w.field("q_den", q_den);
-  w.field("max_q_denominator", max_q_denominator);
-  w.field("lb_first_available", lb_first_available);
-  w.key("inter_clique_weights").begin_array();
-  for (const double v : inter_clique_weights) w.value(v);
-  w.end_array();
-  w.field("weighted_alpha", weighted_alpha);
-  w.field("clusters", static_cast<std::int64_t>(clusters));
-  w.field("pods_per_cluster", static_cast<std::int64_t>(pods_per_cluster));
-  w.field("pod_locality_x1", pod_locality_x1);
-  w.field("cluster_locality_x2", cluster_locality_x2);
-  w.field("dwell_slots", static_cast<std::int64_t>(dwell_slots));
-  w.field("schedule_seed", schedule_seed);
-  w.field("max_short_hops", static_cast<std::int64_t>(max_short_hops));
-  w.field("bulk_cutoff_bytes", bulk_cutoff_bytes);
-  w.field("orn_dims", static_cast<std::int64_t>(orn_dims));
-  w.key("radices").begin_array();
-  for (const NodeId r : radices) w.value(static_cast<std::int64_t>(r));
-  w.end_array();
-  w.field("lanes", static_cast<std::int64_t>(lanes));
-  w.field("slot_ns", slot_ns);
-  w.field("propagation_ns", propagation_ns);
-  w.field("cell_bytes", cell_bytes);
-  w.field("max_queue_cells", max_queue_cells);
-  w.field("seed", seed);
-  w.field("threads", static_cast<std::int64_t>(threads));
-  w.field("traffic", traffic_kind_name(traffic));
-  w.field("ring_heavy_share", ring_heavy_share);
-  w.field("traffic_backend", demand_backend_name(traffic_backend));
-  w.field("workload", workload_kind_name(workload));
-  w.field("load", load);
-  w.field("slots", static_cast<std::int64_t>(slots));
-  w.field("drain_slots", static_cast<std::int64_t>(drain_slots));
-  w.field("warmup_slots", static_cast<std::int64_t>(warmup_slots));
-  w.field("measure_slots", static_cast<std::int64_t>(measure_slots));
-  w.field("flow_size", flow_size_kind_name(flow_size));
-  w.field("fixed_flow_bytes", fixed_flow_bytes);
-  w.field("flow_size_cap", flow_size_cap);
-  w.field("classify", classify_kind_name(classify));
-  w.field("arrival_seed", arrival_seed);
-  w.field("workload_seed", workload_seed);
-  w.field("incast_fanin", static_cast<std::int64_t>(incast_fanin));
-  w.field("incast_bytes", incast_bytes);
-  w.field("incast_period_slots",
-          static_cast<std::int64_t>(incast_period_slots));
-  w.field("collective_kind", collective_kind);
-  w.field("collective_bytes", collective_bytes);
-  w.field("collective_phase_gap_slots",
-          static_cast<std::int64_t>(collective_phase_gap_slots));
-  w.field("rack_local_frac", rack_local_frac);
-  w.field("oversub_factor", oversub_factor);
-  w.field("transport", transport);
-  w.field("ecn_threshold_cells", ecn_threshold_cells);
-  w.field("init_cwnd_cells", init_cwnd_cells);
-  w.field("max_cwnd_cells", max_cwnd_cells);
-  w.field("dctcp_gain", dctcp_gain);
-  w.field("trace", trace_path);
-  w.field("metrics_json", metrics_json_path);
-  w.field("timeseries_csv", timeseries_csv_path);
-  w.field("sample_every", static_cast<std::int64_t>(sample_every));
-  w.field("profile", profile);
-  w.field("profile_json", profile_json_path);
-  w.field("fault_script", fault_script);
-  w.field("fault_script_path", fault_script_path);
-  w.field("mtbf", node_mtbf_slots);
-  w.field("mttr", node_mttr_slots);
-  w.field("circuit_mtbf", circuit_mtbf_slots);
-  w.field("circuit_mttr", circuit_mttr_slots);
-  w.field("fault_seed", fault_seed);
-  w.field("epoch_slots", static_cast<std::int64_t>(epoch_slots));
-  w.field("update_delay_slots", static_cast<std::int64_t>(update_delay_slots));
-  w.key("control_outages").begin_array();
-  for (const Slot s : control_outages) w.value(static_cast<std::int64_t>(s));
-  w.end_array();
-  w.field("controller_mtbf", controller_mtbf_slots);
-  w.field("controller_mttr", controller_mttr_slots);
-  w.field("control_fault_seed", control_fault_seed);
-  w.field("replan_apply_delay",
-          static_cast<std::int64_t>(replan_apply_delay));
-  w.field("estimate_stale_epochs", estimate_stale_epochs);
-  w.field("estimate_noise", estimate_noise);
-  w.field("safe_mode", safe_mode);
-  w.field("check_invariants", check_invariants);
-  w.field("retransmit_timeout", static_cast<std::int64_t>(retransmit_timeout));
-  w.field("retransmit_max_attempts",
-          static_cast<std::int64_t>(retransmit_max_attempts));
-  w.field("retransmit_jitter", retransmit_jitter);
+  for (const ScenarioField& f : kFields) {
+    w.key(f.key);
+    std::visit([&](auto m) { write(w, this->*m, f.limits); }, f.member);
+  }
   w.end_object();
-  std::string out = w.take();
-  out += "\n";
-  return out;
+  return w.take() + "\n";
 }
-
-namespace {
-
-// Field decoding helpers: each checks the JSON type and reports the key
-// on mismatch.
-bool want_int(const JsonValue& v, const std::string& key, std::int64_t* out,
-              std::string* error) {
-  if (!v.is_number() || !v.is_integer()) {
-    *error = "field '" + key + "' must be an integer";
-    return false;
-  }
-  *out = v.as_int();
-  return true;
-}
-
-bool want_double(const JsonValue& v, const std::string& key, double* out,
-                 std::string* error) {
-  if (!v.is_number()) {
-    *error = "field '" + key + "' must be a number";
-    return false;
-  }
-  *out = v.as_double();
-  return true;
-}
-
-bool want_string(const JsonValue& v, const std::string& key,
-                 std::string* out, std::string* error) {
-  if (!v.is_string()) {
-    *error = "field '" + key + "' must be a string";
-    return false;
-  }
-  *out = v.as_string();
-  return true;
-}
-
-bool want_bool(const JsonValue& v, const std::string& key, bool* out,
-               std::string* error) {
-  if (!v.is_bool()) {
-    *error = "field '" + key + "' must be true or false";
-    return false;
-  }
-  *out = v.as_bool();
-  return true;
-}
-
-}  // namespace
 
 bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
                                std::string* error) {
@@ -261,253 +382,22 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
   }
 
   ScenarioConfig cfg;  // defaults; *out untouched until full success
-  for (const auto& [key, v] : doc.fields()) {
-    std::int64_t i = 0;
-    double d = 0.0;
-    std::string s;
-    if (key == "design") {
-      if (!want_string(v, key, &cfg.design, error)) return false;
-    } else if (key == "nodes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.nodes = static_cast<NodeId>(i);
-    } else if (key == "cliques") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.cliques = static_cast<CliqueId>(i);
-    } else if (key == "locality") {
-      if (!want_double(v, key, &cfg.locality_x, error)) return false;
-    } else if (key == "q_num") {
-      if (!want_int(v, key, &cfg.q_num, error)) return false;
-    } else if (key == "q_den") {
-      if (!want_int(v, key, &cfg.q_den, error)) return false;
-    } else if (key == "max_q_denominator") {
-      if (!want_int(v, key, &cfg.max_q_denominator, error)) return false;
-    } else if (key == "lb_first_available") {
-      if (!want_bool(v, key, &cfg.lb_first_available, error)) return false;
-    } else if (key == "inter_clique_weights") {
-      if (!v.is_array()) {
-        *error = "field 'inter_clique_weights' must be an array";
-        return false;
-      }
-      cfg.inter_clique_weights.clear();
-      for (const JsonValue& item : v.items()) {
-        if (!want_double(item, key, &d, error)) return false;
-        cfg.inter_clique_weights.push_back(d);
-      }
-    } else if (key == "weighted_alpha") {
-      if (!want_double(v, key, &cfg.weighted_alpha, error)) return false;
-    } else if (key == "clusters") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.clusters = static_cast<CliqueId>(i);
-    } else if (key == "pods_per_cluster") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.pods_per_cluster = static_cast<CliqueId>(i);
-    } else if (key == "pod_locality_x1") {
-      if (!want_double(v, key, &cfg.pod_locality_x1, error)) return false;
-    } else if (key == "cluster_locality_x2") {
-      if (!want_double(v, key, &cfg.cluster_locality_x2, error)) return false;
-    } else if (key == "dwell_slots") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.dwell_slots = i;
-    } else if (key == "schedule_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.schedule_seed = static_cast<std::uint64_t>(i);
-    } else if (key == "max_short_hops") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.max_short_hops = static_cast<int>(i);
-    } else if (key == "bulk_cutoff_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.bulk_cutoff_bytes = static_cast<std::uint64_t>(i);
-    } else if (key == "orn_dims") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.orn_dims = static_cast<int>(i);
-    } else if (key == "radices") {
-      if (!v.is_array()) {
-        *error = "field 'radices' must be an array";
-        return false;
-      }
-      cfg.radices.clear();
-      for (const JsonValue& item : v.items()) {
-        if (!want_int(item, key, &i, error)) return false;
-        cfg.radices.push_back(static_cast<NodeId>(i));
-      }
-    } else if (key == "lanes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.lanes = static_cast<int>(i);
-    } else if (key == "slot_ns") {
-      if (!want_int(v, key, &cfg.slot_ns, error)) return false;
-    } else if (key == "propagation_ns") {
-      if (!want_int(v, key, &cfg.propagation_ns, error)) return false;
-    } else if (key == "cell_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.cell_bytes = static_cast<std::uint64_t>(i);
-    } else if (key == "max_queue_cells") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.max_queue_cells = static_cast<std::uint64_t>(i);
-    } else if (key == "seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.seed = static_cast<std::uint64_t>(i);
-    } else if (key == "threads") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.threads = static_cast<int>(i);
-    } else if (key == "traffic") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_traffic_kind(s, &cfg.traffic)) {
-        *error = "unknown traffic pattern '" + s + "'";
-        return false;
-      }
-    } else if (key == "ring_heavy_share") {
-      if (!want_double(v, key, &cfg.ring_heavy_share, error)) return false;
-    } else if (key == "traffic_backend") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_demand_backend(s, &cfg.traffic_backend)) {
-        *error = "unknown traffic backend '" + s + "'";
-        return false;
-      }
-    } else if (key == "workload") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_workload_kind(s, &cfg.workload)) {
-        *error = "unknown workload kind '" + s + "'";
-        return false;
-      }
-    } else if (key == "load") {
-      if (!want_double(v, key, &cfg.load, error)) return false;
-    } else if (key == "slots") {
-      if (!want_int(v, key, &cfg.slots, error)) return false;
-    } else if (key == "drain_slots") {
-      if (!want_int(v, key, &cfg.drain_slots, error)) return false;
-    } else if (key == "warmup_slots") {
-      if (!want_int(v, key, &cfg.warmup_slots, error)) return false;
-    } else if (key == "measure_slots") {
-      if (!want_int(v, key, &cfg.measure_slots, error)) return false;
-    } else if (key == "flow_size") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_flow_size_kind(s, &cfg.flow_size)) {
-        *error = "unknown flow size distribution '" + s + "'";
-        return false;
-      }
-    } else if (key == "fixed_flow_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.fixed_flow_bytes = static_cast<std::uint64_t>(i);
-    } else if (key == "flow_size_cap") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.flow_size_cap = static_cast<std::uint64_t>(i);
-    } else if (key == "classify") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_classify_kind(s, &cfg.classify)) {
-        *error = "unknown classifier '" + s + "'";
-        return false;
-      }
-    } else if (key == "arrival_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.arrival_seed = static_cast<std::uint64_t>(i);
-    } else if (key == "workload_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.workload_seed = static_cast<std::uint64_t>(i);
-    } else if (key == "incast_fanin") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.incast_fanin = static_cast<NodeId>(i);
-    } else if (key == "incast_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.incast_bytes = static_cast<std::uint64_t>(i);
-    } else if (key == "incast_period_slots") {
-      if (!want_int(v, key, &cfg.incast_period_slots, error)) return false;
-    } else if (key == "collective_kind") {
-      if (!want_string(v, key, &cfg.collective_kind, error)) return false;
-    } else if (key == "collective_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.collective_bytes = static_cast<std::uint64_t>(i);
-    } else if (key == "collective_phase_gap_slots") {
-      if (!want_int(v, key, &cfg.collective_phase_gap_slots, error))
-        return false;
-    } else if (key == "rack_local_frac") {
-      if (!want_double(v, key, &cfg.rack_local_frac, error)) return false;
-    } else if (key == "oversub_factor") {
-      if (!want_double(v, key, &cfg.oversub_factor, error)) return false;
-    } else if (key == "transport") {
-      if (!want_string(v, key, &cfg.transport, error)) return false;
-    } else if (key == "ecn_threshold_cells") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.ecn_threshold_cells = static_cast<std::uint64_t>(i);
-    } else if (key == "init_cwnd_cells") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.init_cwnd_cells = static_cast<std::uint64_t>(i);
-    } else if (key == "max_cwnd_cells") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.max_cwnd_cells = static_cast<std::uint64_t>(i);
-    } else if (key == "dctcp_gain") {
-      if (!want_double(v, key, &cfg.dctcp_gain, error)) return false;
-    } else if (key == "trace") {
-      if (!want_string(v, key, &cfg.trace_path, error)) return false;
-    } else if (key == "metrics_json") {
-      if (!want_string(v, key, &cfg.metrics_json_path, error)) return false;
-    } else if (key == "timeseries_csv") {
-      if (!want_string(v, key, &cfg.timeseries_csv_path, error))
-        return false;
-    } else if (key == "sample_every") {
-      if (!want_int(v, key, &cfg.sample_every, error)) return false;
-    } else if (key == "profile") {
-      if (!want_bool(v, key, &cfg.profile, error)) return false;
-    } else if (key == "profile_json") {
-      if (!want_string(v, key, &cfg.profile_json_path, error)) return false;
-    } else if (key == "fault_script") {
-      if (!want_string(v, key, &cfg.fault_script, error)) return false;
-    } else if (key == "fault_script_path") {
-      if (!want_string(v, key, &cfg.fault_script_path, error)) return false;
-    } else if (key == "mtbf") {
-      if (!want_double(v, key, &cfg.node_mtbf_slots, error)) return false;
-    } else if (key == "mttr") {
-      if (!want_double(v, key, &cfg.node_mttr_slots, error)) return false;
-    } else if (key == "circuit_mtbf") {
-      if (!want_double(v, key, &cfg.circuit_mtbf_slots, error)) return false;
-    } else if (key == "circuit_mttr") {
-      if (!want_double(v, key, &cfg.circuit_mttr_slots, error)) return false;
-    } else if (key == "fault_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.fault_seed = static_cast<std::uint64_t>(i);
-    } else if (key == "epoch_slots") {
-      if (!want_int(v, key, &cfg.epoch_slots, error)) return false;
-    } else if (key == "update_delay_slots") {
-      if (!want_int(v, key, &cfg.update_delay_slots, error)) return false;
-    } else if (key == "control_outages") {
-      if (!v.is_array()) {
-        *error = "field 'control_outages' must be an array";
-        return false;
-      }
-      cfg.control_outages.clear();
-      for (const JsonValue& item : v.items()) {
-        if (!want_int(item, key, &i, error)) return false;
-        cfg.control_outages.push_back(i);
-      }
-    } else if (key == "controller_mtbf") {
-      if (!want_double(v, key, &cfg.controller_mtbf_slots, error))
-        return false;
-    } else if (key == "controller_mttr") {
-      if (!want_double(v, key, &cfg.controller_mttr_slots, error))
-        return false;
-    } else if (key == "control_fault_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.control_fault_seed = static_cast<std::uint64_t>(i);
-    } else if (key == "replan_apply_delay") {
-      if (!want_int(v, key, &cfg.replan_apply_delay, error)) return false;
-    } else if (key == "estimate_stale_epochs") {
-      if (!want_int(v, key, &cfg.estimate_stale_epochs, error)) return false;
-    } else if (key == "estimate_noise") {
-      if (!want_double(v, key, &cfg.estimate_noise, error)) return false;
-    } else if (key == "safe_mode") {
-      if (!want_string(v, key, &cfg.safe_mode, error)) return false;
-    } else if (key == "check_invariants") {
-      if (!want_bool(v, key, &cfg.check_invariants, error)) return false;
-    } else if (key == "retransmit_timeout") {
-      if (!want_int(v, key, &cfg.retransmit_timeout, error)) return false;
-    } else if (key == "retransmit_max_attempts") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.retransmit_max_attempts = static_cast<std::uint32_t>(i);
-    } else if (key == "retransmit_jitter") {
-      if (!want_double(v, key, &cfg.retransmit_jitter, error)) return false;
-    } else {
+  for (const auto& entry : doc.fields()) {
+    const std::string& key = entry.first;
+    const auto f = std::find_if(std::begin(kFields), std::end(kFields),
+                                [&](const ScenarioField& row) {
+                                  return key == row.key;
+                                });
+    if (f == std::end(kFields)) {
       *error = "unknown scenario field '" + key + "'";
       return false;
     }
+    const bool ok = std::visit(
+        [&](auto m) {
+          return decode(entry.second, f->limits, key, &(cfg.*m), error);
+        },
+        f->member);
+    if (!ok) return false;
   }
 
   if (!cfg.validate(error)) return false;
@@ -535,51 +425,30 @@ bool ScenarioConfig::load_file(const std::string& path, ScenarioConfig* out,
 }
 
 bool ScenarioConfig::validate(std::string* error) const {
-  auto fail = [error](const char* msg) {
+  std::string why;
+  auto fail = [&](const char* msg) {
     if (error != nullptr) *error = msg;
     return false;
   };
-  if (nodes < 2) return fail("nodes must be >= 2");
-  if (cliques < 1) return fail("cliques must be >= 1");
-  if (lanes < 1) return fail("lanes must be >= 1");
-  if (threads < 0) return fail("threads must be >= 0");
-  if (slot_ns <= 0) return fail("slot_ns must be positive");
-  if (propagation_ns < 0) return fail("propagation_ns must be >= 0");
-  if (locality_x < 0.0 || locality_x > 1.0)
-    return fail("locality must be in [0, 1]");
-  if (q_num < 0 || q_den <= 0) return fail("q must be a nonnegative rational");
-  if (load <= 0.0) return fail("load must be positive");
-  if (slots < 1) return fail("slots must be >= 1");
-  if (drain_slots < 0) return fail("drain_slots must be >= 0");
-  if (warmup_slots < 0) return fail("warmup_slots must be >= 0");
-  if (measure_slots < 1) return fail("measure_slots must be >= 1");
-  if (sample_every < 1) return fail("sample_every must be >= 1");
-  if (retransmit_timeout < 0) return fail("retransmit_timeout must be >= 0");
+  for (const ScenarioField& f : kFields) {
+    const bool ok = std::visit(
+        [&](auto m) { return check(this->*m, f.limits, f.key, &why); },
+        f.member);
+    if (!ok) return fail(why.c_str());
+  }
   if ((node_mtbf_slots > 0.0 && node_mttr_slots <= 0.0) ||
       (circuit_mtbf_slots > 0.0 && circuit_mttr_slots <= 0.0))
     return fail("an MTBF needs a matching positive MTTR");
   if (!fault_script.empty() && !fault_script_path.empty())
     return fail("give fault_script or fault_script_path, not both");
-  if (epoch_slots < 0) return fail("epoch_slots must be >= 0");
-  if (update_delay_slots < 0) return fail("update_delay_slots must be >= 0");
   if (control_outages.size() % 2 != 0)
     return fail("control_outages must be flattened [start, end) pairs");
   for (std::size_t i = 0; i + 1 < control_outages.size(); i += 2) {
-    if (control_outages[i] < 0 ||
-        control_outages[i + 1] <= control_outages[i])
+    if (control_outages[i + 1] <= control_outages[i])
       return fail("control_outages windows must satisfy 0 <= start < end");
   }
-  if (controller_mtbf_slots < 0.0 || controller_mttr_slots < 0.0)
-    return fail("controller mtbf/mttr must be >= 0");
   if (controller_mtbf_slots > 0.0 && controller_mttr_slots <= 0.0)
     return fail("controller_mtbf needs a matching positive controller_mttr");
-  if (replan_apply_delay < 0) return fail("replan_apply_delay must be >= 0");
-  if (estimate_stale_epochs < 0)
-    return fail("estimate_stale_epochs must be >= 0");
-  if (estimate_noise < 0.0 || estimate_noise > 1.0)
-    return fail("estimate_noise must be in [0, 1]");
-  if (safe_mode != "hold" && safe_mode != "vlb")
-    return fail("safe_mode must be \"hold\" or \"vlb\"");
   const bool control_faults = !control_outages.empty() ||
                               controller_mtbf_slots > 0.0 ||
                               replan_apply_delay > 0 ||
@@ -587,37 +456,72 @@ bool ScenarioConfig::validate(std::string* error) const {
                               estimate_noise > 0.0;
   if (control_faults && epoch_slots <= 0)
     return fail("control-plane faults require epoch_slots > 0");
-  if (retransmit_jitter < 0.0 || retransmit_jitter > 1.0)
-    return fail("retransmit_jitter must be in [0, 1]");
   // Fan-in is bounded by the node count, so only enforce it when the
   // incast workload is actually selected (the default fanin must not
   // invalidate small-N configs of other workloads).
-  if (workload == WorkloadKind::kIncast &&
-      (incast_fanin < 1 || incast_fanin > nodes - 1))
+  if (workload == WorkloadKind::kIncast && incast_fanin > nodes - 1)
     return fail("incast_fanin must be in [1, nodes - 1]");
-  if (incast_bytes < 1) return fail("incast_bytes must be >= 1");
-  if (incast_period_slots < 1)
-    return fail("incast_period_slots must be >= 1");
-  if (collective_kind != "ring" && collective_kind != "tree")
-    return fail("collective_kind must be \"ring\" or \"tree\"");
-  if (collective_bytes < 1) return fail("collective_bytes must be >= 1");
-  if (collective_phase_gap_slots < 1)
-    return fail("collective_phase_gap_slots must be >= 1");
-  if (rack_local_frac < 0.0 || rack_local_frac > 1.0)
-    return fail("rack_local_frac must be in [0, 1]");
-  if (oversub_factor < 1.0) return fail("oversub_factor must be >= 1");
   if (workload == WorkloadKind::kOversubRack && cliques < 2 &&
       rack_local_frac < 1.0)
     return fail("oversub-rack inter-rack traffic needs cliques >= 2");
-  if (transport != "open-loop" && transport != "dctcp")
-    return fail("transport must be \"open-loop\" or \"dctcp\"");
   if (transport == "dctcp" && !workload_uses_flow_driver(workload))
     return fail("transport \"dctcp\" requires a flow-driver workload");
-  if (init_cwnd_cells < 1 || max_cwnd_cells < init_cwnd_cells)
+  if (max_cwnd_cells < init_cwnd_cells)
     return fail("need 1 <= init_cwnd_cells <= max_cwnd_cells");
-  if (dctcp_gain <= 0.0 || dctcp_gain > 1.0)
-    return fail("dctcp_gain must be in (0, 1]");
   return true;
+}
+
+void apply_scenario_flags(ArgParser& args, ScenarioConfig* cfg,
+                          std::initializer_list<std::string_view> keys) {
+  for (const ScenarioField& f : kFields) {
+    if (f.flag == nullptr ||
+        (keys.size() > 0 &&
+         std::find(keys.begin(), keys.end(), f.key) == keys.end()))
+      continue;
+    std::visit(
+        [&](auto m) {
+          using T = std::remove_cvref_t<decltype(cfg->*m)>;
+          std::optional<JsonValue> v;
+          if constexpr (std::is_same_v<T, bool>) {
+            if (!args.get_flag(f.flag)) return;
+            v = JsonValue::boolean(true);
+          } else {
+            const std::optional<std::string> token = args.get(f.flag);
+            if (!token) return;
+            v = token_value<T>(*token);
+            if (!v)
+              args.fail(std::string(f.flag) + " expects " +
+                        metavar<T>(f.limits) + " (got '" + *token + "')");
+          }
+          std::string error;
+          if (!decode(*v, f.limits, f.flag, &(cfg->*m), &error) ||
+              !check(cfg->*m, f.limits, f.flag, &error))
+            args.fail(error);
+        },
+        f.member);
+  }
+}
+
+void print_scenario_fields(std::FILE* out) {
+  const ScenarioConfig defaults;
+  for (const ScenarioField& f : kFields) {
+    std::visit(
+        [&](auto m) {
+          using T = std::remove_cvref_t<decltype(defaults.*m)>;
+          std::string text = f.help;
+          const std::string range = limits_text(f.limits);
+          if (!range.empty()) text += "; " + range;
+          const std::string def = value_text(defaults.*m, f.limits);
+          if (!std::is_same_v<T, bool> && !def.empty())
+            text += " (default " + def + ")";
+          const std::string arg =
+              std::string(f.flag != nullptr ? f.flag : "(file only)") + " " +
+              metavar<T>(f.limits);
+          std::fprintf(out, "  %-26s %-29s %s\n", f.key, arg.c_str(),
+                       text.c_str());
+        },
+        f.member);
+  }
 }
 
 }  // namespace sorn

@@ -9,7 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <initializer_list>
+#include <limits>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "topo/clique.h"
@@ -19,6 +25,7 @@
 
 namespace sorn {
 
+class ArgParser;
 class FaultScript;
 
 // How the runner drives traffic.
@@ -257,20 +264,61 @@ struct ScenarioConfig {
   static bool load_file(const std::string& path, ScenarioConfig* out,
                         std::string* error);
 
-  // Basic cross-field validation shared by every entry point (positive
-  // counts, mtbf/mttr pairing, known design name not checked here — the
-  // registry owns that). Returns false and sets *error on problems.
+  // Validation shared by every entry point: each field's range from the
+  // field table, then the cross-field rules (mtbf/mttr pairing, control
+  // faults need a control loop, ...). The design name is not checked
+  // here; the registry owns that. Returns false and sets *error.
   bool validate(std::string* error) const;
 };
 
-// Enum <-> string helpers (shared by the JSON codec and CLI flags).
-const char* workload_kind_name(WorkloadKind k);
-const char* traffic_kind_name(TrafficKind k);
-const char* flow_size_kind_name(FlowSizeKind k);
-const char* classify_kind_name(ClassifyKind k);
-bool parse_workload_kind(std::string_view name, WorkloadKind* out);
-bool parse_traffic_kind(std::string_view name, TrafficKind* out);
-bool parse_flow_size_kind(std::string_view name, FlowSizeKind* out);
-bool parse_classify_kind(std::string_view name, ClassifyKind* out);
+// ---- the field table ----
+// Every serializable ScenarioConfig field is one ScenarioField row in
+// scenario_config.cpp: the JSON codec, the per-field range checks of
+// validate(), the sorn_tool flags and `sorn_tool simulate --help` all
+// loop over it.
+
+// The values a field accepts. Numbers (and each element of a list field)
+// must lie in [lo, hi], or (lo, hi] when lo_open; integers must also fit
+// the member's type. `choices` ("a|b|c") lists the accepted strings; for
+// an enum member the i-th choice names enum value i.
+struct FieldLimits {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  const char* choices = nullptr;
+};
+
+struct ScenarioField {
+  using Member = std::variant<
+      bool ScenarioConfig::*, std::int32_t ScenarioConfig::*,
+      std::uint32_t ScenarioConfig::*, std::int64_t ScenarioConfig::*,
+      std::uint64_t ScenarioConfig::*, double ScenarioConfig::*,
+      std::string ScenarioConfig::*, std::vector<double> ScenarioConfig::*,
+      std::vector<std::int32_t> ScenarioConfig::*,
+      std::vector<std::int64_t> ScenarioConfig::*,
+      TrafficKind ScenarioConfig::*, DemandBackend ScenarioConfig::*,
+      WorkloadKind ScenarioConfig::*, FlowSizeKind ScenarioConfig::*,
+      ClassifyKind ScenarioConfig::*>;
+
+  const char* key;   // JSON key
+  Member member;
+  const char* flag;  // sorn_tool flag; nullptr = JSON only
+  const char* help;
+  FieldLimits limits = {};
+};
+
+// The rows, in to_json key order.
+std::span<const ScenarioField> scenario_fields();
+
+// Sets each field whose flag is given in `args` (absent flags leave *cfg
+// as it is); `keys` restricts this to those rows, empty = every row with
+// a flag. A bool row is a presence-only flag; a list row takes a comma-
+// separated value. A malformed or out-of-range value is a usage error
+// naming the flag (ArgParser::fail, exit 2).
+void apply_scenario_flags(ArgParser& args, ScenarioConfig* cfg,
+                          std::initializer_list<std::string_view> keys = {});
+
+// One line per row: JSON key, flag, help, accepted values and default.
+void print_scenario_fields(std::FILE* out);
 
 }  // namespace sorn

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,23 +38,20 @@ class ArgParser {
     used_.assign(args_.size(), false);
   }
 
+  // `--flag value` when the flag is given, std::nullopt otherwise.
+  std::optional<std::string> get(const char* flag) {
+    const int i = find(flag);
+    if (i < 0) return std::nullopt;
+    return value_of(i);
+  }
+
   // `--flag value`; empty-string fallback means "not given" by convention.
   std::string get_string(const char* flag, std::string fallback) {
-    const int i = find(flag);
-    if (i < 0) return fallback;
-    return value_of(i);
+    return get(flag).value_or(std::move(fallback));
   }
 
   // Valueless boolean flag: present -> true.
   bool get_flag(const char* flag) { return find(flag) >= 0; }
-
-  // True when the flag was given (and consumes nothing extra); pairs with
-  // a get_* call for "was this explicitly set" logic.
-  bool has(const char* flag) const {
-    for (std::size_t i = 0; i < args_.size(); ++i)
-      if (args_[i] == flag) return true;
-    return false;
-  }
 
   long get_long(const char* flag, long fallback,
                 long lo = std::numeric_limits<long>::min(),
@@ -79,9 +77,9 @@ class ArgParser {
     const double parsed = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end != '\0') die(flag, v, "a number");
     if (parsed < lo || parsed > hi) {
-      std::fprintf(stderr, "%s: %s must be in [%g, %g] (got %s)\n",
-                   prog_.c_str(), flag, lo, hi, v.c_str());
-      std::exit(2);
+      char range[64];
+      std::snprintf(range, sizeof range, "[%g, %g]", lo, hi);
+      fail(std::string(flag) + " must be in " + range + " (got " + v + ")");
     }
     return parsed;
   }
@@ -110,15 +108,17 @@ class ArgParser {
     return out;
   }
 
+  // Usage error: prints "prog: message" and exits with status 2.
+  [[noreturn]] void fail(const std::string& message) const {
+    std::fprintf(stderr, "%s: %s\n", prog_.c_str(), message.c_str());
+    std::exit(2);
+  }
+
   // Call after all getters: any argument not consumed is an unknown flag
   // (or a stray value) and aborts with a usage error.
   void finish() {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (used_[i]) continue;
-      std::fprintf(stderr, "%s: unknown or misplaced argument '%s'\n",
-                   prog_.c_str(), args_[i].c_str());
-      std::exit(2);
-    }
+    for (std::size_t i = 0; i < args_.size(); ++i)
+      if (!used_[i]) fail("unknown or misplaced argument '" + args_[i] + "'");
   }
 
  private:
@@ -133,27 +133,21 @@ class ArgParser {
 
   std::string value_of(int flag_index) {
     const auto v = static_cast<std::size_t>(flag_index) + 1;
-    if (v >= args_.size() || used_[v]) {
-      std::fprintf(stderr, "%s: missing value for %s\n", prog_.c_str(),
-                   args_[static_cast<std::size_t>(flag_index)].c_str());
-      std::exit(2);
-    }
+    if (v >= args_.size() || used_[v])
+      fail("missing value for " + args_[static_cast<std::size_t>(flag_index)]);
     used_[v] = true;
     return args_[v];
   }
 
   [[noreturn]] void die(const char* flag, const std::string& got,
-                        const char* wanted) {
-    std::fprintf(stderr, "%s: %s expects %s (got '%s')\n", prog_.c_str(),
-                 flag, wanted, got.c_str());
-    std::exit(2);
+                        const char* wanted) const {
+    fail(std::string(flag) + " expects " + wanted + " (got '" + got + "')");
   }
 
   [[noreturn]] void die_range(const char* flag, const std::string& got,
-                              long lo, long hi) {
-    std::fprintf(stderr, "%s: %s must be in [%ld, %ld] (got %s)\n",
-                 prog_.c_str(), flag, lo, hi, got.c_str());
-    std::exit(2);
+                              long lo, long hi) const {
+    fail(std::string(flag) + " must be in [" + std::to_string(lo) + ", " +
+         std::to_string(hi) + "] (got " + got + ")");
   }
 
   std::string prog_;

@@ -1,12 +1,22 @@
 // ScenarioConfig JSON codec: round-trip fidelity, strict unknown-key
 // handling (a typo must be an error, not a silently-defaulted field),
-// and cross-field validation.
+// cross-field validation, and the field table that drives the codec and
+// the sorn_tool flags (one accepted range per field on both paths).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "scenario/scenario_config.h"
+#include "util/args.h"
 
 namespace sorn {
 namespace {
@@ -335,6 +345,256 @@ TEST(ScenarioConfigTest, LoadFileRoundTrips) {
   EXPECT_FALSE(
       ScenarioConfig::load_file("/nonexistent/scenario.json", &back, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// The parent layout's default document, byte for byte: pins the key
+// order and the number formatting every saved scenario depends on.
+TEST(ScenarioConfigTest, DefaultDocumentBytesArePinned) {
+  const std::string expected =
+      R"({"design":"sorn","nodes":64,"cliques":8,)"
+      R"("locality":0.56000000000000005,"q_num":0,"q_den":1,)"
+      R"("max_q_denominator":6,"lb_first_available":false,)"
+      R"("inter_clique_weights":[],"weighted_alpha":0.69999999999999996,)"
+      R"("clusters":4,"pods_per_cluster":4,"pod_locality_x1":0.5,)"
+      R"("cluster_locality_x2":0.29999999999999999,"dwell_slots":900,)"
+      R"("schedule_seed":17,"max_short_hops":6,"bulk_cutoff_bytes":0,)"
+      R"("orn_dims":2,"radices":[],"lanes":1,"slot_ns":100,)"
+      R"("propagation_ns":0,"cell_bytes":256,"max_queue_cells":0,"seed":42,)"
+      R"("threads":0,"traffic":"locality",)"
+      R"("ring_heavy_share":0.84999999999999998,"traffic_backend":"dense",)"
+      R"("workload":"flows","load":0.29999999999999999,"slots":30000,)"
+      R"("drain_slots":200000,"warmup_slots":4000,"measure_slots":8000,)"
+      R"("flow_size":"pfabric-web-search","fixed_flow_bytes":2560,)"
+      R"("flow_size_cap":0,"classify":"none","arrival_seed":1,)"
+      R"("workload_seed":7,"incast_fanin":32,"incast_bytes":16384,)"
+      R"("incast_period_slots":512,"collective_kind":"ring",)"
+      R"("collective_bytes":262144,"collective_phase_gap_slots":256,)"
+      R"("rack_local_frac":0.59999999999999998,"oversub_factor":4,)"
+      R"("transport":"open-loop","ecn_threshold_cells":0,)"
+      R"("init_cwnd_cells":8,"max_cwnd_cells":256,"dctcp_gain":0.0625,)"
+      R"("trace":"","metrics_json":"","timeseries_csv":"","sample_every":1,)"
+      R"("profile":false,"profile_json":"","fault_script":"",)"
+      R"("fault_script_path":"","mtbf":0,"mttr":0,"circuit_mtbf":0,)"
+      R"("circuit_mttr":0,"fault_seed":1,"epoch_slots":0,)"
+      R"("update_delay_slots":0,"control_outages":[],"controller_mtbf":0,)"
+      R"("controller_mttr":0,"control_fault_seed":1,"replan_apply_delay":0,)"
+      R"("estimate_stale_epochs":0,"estimate_noise":0,"safe_mode":"hold",)"
+      R"("check_invariants":false,"retransmit_timeout":0,)"
+      R"("retransmit_max_attempts":8,"retransmit_jitter":0})"
+      "\n";
+  EXPECT_EQ(ScenarioConfig{}.to_json(), expected);
+}
+
+TEST(ScenarioConfigTest, NoTwoRowsShareAKeyOrAFlag) {
+  std::set<std::string> keys;
+  std::set<std::string> flags;
+  for (const ScenarioField& f : scenario_fields()) {
+    EXPECT_TRUE(keys.insert(f.key).second) << f.key;
+    if (f.flag != nullptr) {
+      EXPECT_TRUE(flags.insert(f.flag).second) << f.flag;
+    }
+  }
+  EXPECT_EQ(keys.size(), 82u);
+  EXPECT_EQ(flags.size(), 49u);
+}
+
+TEST(ScenarioConfigTest, IntegersOutsideTheMemberTypeAreRejected) {
+  ScenarioConfig back;
+  std::string error;
+  EXPECT_FALSE(
+      ScenarioConfig::from_json(R"({"cell_bytes": -1})", &back, &error));
+  EXPECT_NE(error.find("cell_bytes"), std::string::npos) << error;
+  EXPECT_FALSE(
+      ScenarioConfig::from_json(R"({"nodes": 4294967312})", &back, &error));
+  EXPECT_NE(error.find("nodes"), std::string::npos) << error;
+  // Past int64 the literal is not clamped to the int64 limit.
+  EXPECT_FALSE(ScenarioConfig::from_json(R"({"seed": 9223372036854775808})",
+                                         &back, &error));
+  EXPECT_NE(error.find("seed"), std::string::npos) << error;
+}
+
+// Base for the table-driven tests: a control loop and positive MTTRs, so
+// the control-fault and MTBF knobs pass the cross-field rules.
+constexpr const char* kBaseDoc =
+    R"({"epoch_slots": 100, "mttr": 1, "circuit_mttr": 1,)"
+    R"( "controller_mttr": 1})";
+
+ScenarioConfig base_config() {
+  ScenarioConfig cfg;
+  std::string error;
+  EXPECT_TRUE(ScenarioConfig::from_json(kBaseDoc, &cfg, &error)) << error;
+  return cfg;
+}
+
+// apply_scenario_flags on `words` the way sorn_tool simulate calls it,
+// then validate(); exits 0 when the value is accepted, 2 from the applier
+// on a flag error, 3 when a cross-field rule rejects the result.
+[[noreturn]] void apply_flags_and_exit(std::vector<std::string> words) {
+  words.insert(words.begin(), "sorn_tool");
+  std::vector<char*> argv;
+  for (std::string& w : words) argv.push_back(w.data());
+  ArgParser args(static_cast<int>(argv.size()), argv.data());
+  ScenarioConfig cfg = base_config();
+  apply_scenario_flags(args, &cfg);
+  args.finish();
+  std::exit(cfg.validate(nullptr) ? 0 : 3);
+}
+
+TEST(ScenarioConfigTest, FlagOutsideTheMemberTypeIsAUsageError) {
+  EXPECT_EXIT(apply_flags_and_exit({"--nodes", "4294967312"}),
+              ::testing::ExitedWithCode(2), "--nodes");
+  EXPECT_EXIT(apply_flags_and_exit({"--seed", "-1"}),
+              ::testing::ExitedWithCode(2), "--seed");
+}
+
+TEST(ScenarioConfigTest, ListFlagElementsMustBeWholeIntegers) {
+  EXPECT_EXIT(apply_flags_and_exit({"--control-outages", "100x,300zz"}),
+              ::testing::ExitedWithCode(2), "--control-outages");
+  EXPECT_EXIT(apply_flags_and_exit({"--control-outages", "100,"}),
+              ::testing::ExitedWithCode(2), "--control-outages");
+  EXPECT_EXIT(apply_flags_and_exit({"--control-outages", "100,300"}),
+              ::testing::ExitedWithCode(0), "");
+}
+
+struct Probe {
+  std::string token;  // the flag value
+  std::string json;   // the same value as a JSON literal
+};
+
+std::vector<std::string> choice_list(const FieldLimits& limits) {
+  std::vector<std::string> names(1);
+  for (const char* c = limits.choices; *c != '\0'; ++c) {
+    if (*c == '|') {
+      names.emplace_back();
+    } else {
+      names.back() += *c;
+    }
+  }
+  return names;
+}
+
+std::string int_text(__int128 v) {
+  if (v < 0) return "-" + int_text(-v);
+  std::string digits;
+  do {
+    digits.insert(digits.begin(), static_cast<char>('0' + v % 10));
+    v /= 10;
+  } while (v > 0);
+  return digits;
+}
+
+std::string double_text(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// Values at and just past each end of the row's accepted range (and of
+// the member's type), every choice plus a bogus one, or one list shape.
+template <typename T>
+std::vector<Probe> boundary_probes(const FieldLimits& limits) {
+  std::vector<Probe> out;
+  auto quoted = [&](const std::string& s) {
+    out.push_back({s, "\"" + s + "\""});
+  };
+  if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
+    for (const char* list : {"1,2", "-1,2", "5,3", ""})
+      out.push_back({list, std::string("[") + list + "]"});
+  } else if constexpr (std::is_integral_v<T>) {
+    // JSON and flag integers are int64, so that caps the uint64 members.
+    const __int128 type_lo = std::numeric_limits<T>::min();
+    const __int128 type_hi =
+        std::min<__int128>(std::numeric_limits<T>::max(),
+                           std::numeric_limits<std::int64_t>::max());
+    const __int128 lo =
+        std::isinf(limits.lo)
+            ? type_lo
+            : std::max(type_lo, static_cast<__int128>(limits.lo));
+    for (const __int128 v : {lo - 1, lo, type_hi, type_hi + 1})
+      out.push_back({int_text(v), int_text(v)});
+  } else if constexpr (std::is_same_v<T, double>) {
+    std::vector<double> values{0.5};
+    if (!std::isinf(limits.lo))
+      values.insert(values.end(), {limits.lo, limits.lo - 0.5});
+    if (!std::isinf(limits.hi))
+      values.insert(values.end(), {limits.hi, limits.hi + 0.5});
+    for (const double v : values)
+      out.push_back({double_text(v), double_text(v)});
+  } else if constexpr (!std::is_same_v<T, bool>) {
+    if (limits.choices == nullptr) {
+      quoted("x");
+    } else {
+      for (const std::string& name : choice_list(limits)) quoted(name);
+      quoted("bogus");
+    }
+  }
+  return out;
+}
+
+TEST(ScenarioConfigTest, FlagsAndJsonAcceptTheSameBoundaryValues) {
+  const std::string base_doc = kBaseDoc;
+  int rejected = 0;
+  for (const ScenarioField& f : scenario_fields()) {
+    if (f.flag == nullptr) continue;
+    const std::vector<Probe> probes = std::visit(
+        [&](auto m) {
+          using T = std::remove_cvref_t<decltype(ScenarioConfig{}.*m)>;
+          return boundary_probes<T>(f.limits);
+        },
+        f.member);
+    for (const Probe& p : probes) {
+      const std::string doc = base_doc.substr(0, base_doc.size() - 1) +
+                              ", \"" + f.key + "\": " + p.json + "}";
+      ScenarioConfig cfg;
+      std::string error;
+      const bool json_ok = ScenarioConfig::from_json(doc, &cfg, &error);
+      rejected += json_ok ? 0 : 1;
+      const std::function<bool(int)> same_verdict = [json_ok](int status) {
+        return WIFEXITED(status) && (WEXITSTATUS(status) == 0) == json_ok;
+      };
+      EXPECT_EXIT(apply_flags_and_exit({f.flag, p.token}), same_verdict, "")
+          << f.flag << " " << p.token << " (JSON: "
+          << (json_ok ? "accepted" : error) << ")";
+    }
+  }
+  EXPECT_GT(rejected, 48);
+}
+
+// One value per row that differs from the base and passes validate().
+template <typename T>
+T non_default(const T& v, const FieldLimits& limits) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return !v;
+  } else if constexpr (std::is_enum_v<T>) {
+    const auto n = static_cast<int>(choice_list(limits).size());
+    return static_cast<T>((static_cast<int>(v) + 1) % n);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    const T step = std::is_integral_v<T> ? T(1) : T(0.125);
+    return static_cast<double>(v + step) <= limits.hi ? v + step : v - step;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (limits.choices == nullptr) return v + "x";
+    const std::vector<std::string> names = choice_list(limits);
+    const auto at = std::find(names.begin(), names.end(), v) - names.begin();
+    return names[static_cast<std::size_t>(at + 1) % names.size()];
+  } else {
+    return T{1, 2};  // a valid [start, end) pair for control_outages
+  }
+}
+
+TEST(ScenarioConfigTest, EveryRowRoundTripsANonDefaultValue) {
+  const ScenarioConfig base = base_config();
+  for (const ScenarioField& f : scenario_fields()) {
+    ScenarioConfig cfg = base;
+    std::visit([&](auto m) { cfg.*m = non_default(cfg.*m, f.limits); },
+               f.member);
+    const std::string doc = cfg.to_json();
+    EXPECT_NE(doc, base.to_json()) << f.key;
+    ScenarioConfig back;
+    std::string error;
+    ASSERT_TRUE(ScenarioConfig::from_json(doc, &back, &error))
+        << f.key << ": " << error;
+    EXPECT_EQ(back.to_json(), doc) << f.key;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,24 @@
 // Engine microbenchmarks (google-benchmark): schedule construction and
-// lookup, route selection, and simulator slot throughput.
+// lookup, route selection, VOQ index operations, and simulator slot
+// throughput.
+//
+//   build/bench/bench_micro --benchmark_min_time=0.05
+//       --benchmark_out=bench_micro.json --benchmark_out_format=json
+// (one command line; CI runs it this way and uploads the JSON).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/sorn.h"
 #include "routing/vlb.h"
 #include "sim/saturation.h"
+#include "sim/voq.h"
 #include "topo/schedule_builder.h"
 #include "traffic/patterns.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -73,6 +85,92 @@ void BM_VlbRoute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VlbRoute);
+
+// A VoqSet shaped like the Table-1 engine's: every node holds one cell in
+// each of 64 queues toward random next hops (the mean occupancy measured
+// at N = 4096, 16 lanes). `hits` are occupied (node, next hop) pairs and
+// `misses` unoccupied ones, both in random order so lookups stride
+// across nodes the way a lane sweep's peers do.
+struct VoqFixture {
+  static constexpr NodeId kNodes = 1024;
+  static constexpr int kQueuesPerNode = 64;
+
+  VoqSet voqs{kNodes};
+  std::vector<std::pair<NodeId, NodeId>> hits;
+  std::vector<std::pair<NodeId, NodeId>> misses;
+
+  VoqFixture() {
+    Rng rng(11);
+    std::vector<std::uint8_t> used(static_cast<std::size_t>(kNodes));
+    for (NodeId node = 0; node < kNodes; ++node) {
+      std::fill(used.begin(), used.end(), std::uint8_t{0});
+      used[static_cast<std::size_t>(node)] = 1;
+      for (int q = 0; q < kQueuesPerNode; ++q) {
+        NodeId hop;
+        do {
+          hop = static_cast<NodeId>(rng.next_below(kNodes));
+        } while (used[static_cast<std::size_t>(hop)]);
+        used[static_cast<std::size_t>(hop)] = 1;
+        voqs.push(cell(node, hop));
+        hits.emplace_back(node, hop);
+      }
+      for (int q = 0; q < kQueuesPerNode; ++q) {
+        NodeId hop;
+        do {
+          hop = static_cast<NodeId>(rng.next_below(kNodes));
+        } while (used[static_cast<std::size_t>(hop)]);
+        misses.emplace_back(node, hop);
+      }
+    }
+    rng.shuffle(hits);
+    rng.shuffle(misses);
+  }
+
+  static Cell cell(NodeId node, NodeId hop) {
+    Cell c;
+    c.path = Path::of({node, hop});
+    return c;
+  }
+};
+
+void BM_VoqPeekHit(benchmark::State& state) {
+  const VoqFixture f;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto [node, hop] = f.hits[i];
+    benchmark::DoNotOptimize(f.voqs.peek(node, hop, 0));
+    if (++i == f.hits.size()) i = 0;
+  }
+}
+BENCHMARK(BM_VoqPeekHit);
+
+// The engine's common case: most (node, lane peer) asks find no queue.
+void BM_VoqPeekMiss(benchmark::State& state) {
+  const VoqFixture f;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto [node, hop] = f.misses[i];
+    benchmark::DoNotOptimize(f.voqs.peek(node, hop, 0));
+    if (++i == f.misses.size()) i = 0;
+  }
+}
+BENCHMARK(BM_VoqPeekMiss);
+
+// Push into an unoccupied queue, then pop it: materializes a queue (index
+// insert) and drains it (swap-remove + backward-shift delete) each time,
+// at a steady 64 queues per node.
+void BM_VoqPushPop(benchmark::State& state) {
+  VoqFixture f;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto [node, hop] = f.misses[i];
+    f.voqs.push(VoqFixture::cell(node, hop));
+    f.voqs.pop_sharded(node, hop);
+    f.voqs.settle_total(1);
+    if (++i == f.misses.size()) i = 0;
+  }
+}
+BENCHMARK(BM_VoqPushPop);
 
 void BM_NetworkSlot(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

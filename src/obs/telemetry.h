@@ -11,10 +11,10 @@
 // Threading contract: Telemetry is not thread-safe and does not need to
 // be. The parallel slot engine never calls hooks from worker threads —
 // shards stage their results in per-shard buffers, and the coordinating
-// thread invokes every hook during the merge phase, replaying events in
-// node order whatever the thread count. That is what keeps traces and
-// time series byte-identical across thread counts (see
-// src/sim/network.cpp, step_lane).
+// thread invokes every hook during the merge phase, replaying events
+// lane by lane in node order whatever the thread count. That is what
+// keeps traces and time series byte-identical across thread counts (see
+// src/sim/network.cpp, SlottedNetwork::step).
 #pragma once
 
 #include <memory>

@@ -38,7 +38,9 @@ class Path {
 
  private:
   std::array<NodeId, kMaxNodes> nodes_{};
-  int len_ = 0;
+  // One byte, so a Path is 33 bytes of data in a 36-byte object and the
+  // Cell that embeds it can put small fields in the tail padding.
+  std::uint8_t len_ = 0;
 };
 
 }  // namespace sorn

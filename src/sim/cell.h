@@ -18,25 +18,32 @@ constexpr FlowId kNoFlow = ~FlowId{0};
 
 struct Cell {
   FlowId flow = kNoFlow;
-  Path path;
+  // [[no_unique_address]] lets the one-byte hop and ecn below sit in
+  // Path's tail padding, which keeps a Cell at one 64-byte cache line
+  // with the full 8-node inline path.
+  [[no_unique_address]] Path path;
+  // Index into path of the node currently buffering the cell.
+  std::int8_t hop = 0;
+  // ECN-like congestion mark: set when the cell is enqueued into a VOQ
+  // already holding at least NetworkConfig::ecn_threshold_cells cells.
+  // Carried to the receiver and echoed to the transport at delivery.
+  bool ecn = false;
   // Position of this cell within its flow (0-based). Lets the receiver
   // deduplicate retransmitted copies; always 0 for anonymous cells.
   std::uint32_t seq = 0;
-  // Index into path of the node currently buffering the cell.
-  std::int32_t hop = 0;
   // Slot at which the cell entered the source queue.
   Slot inject_slot = 0;
   // Earliest slot at which the cell may be transmitted from the current
   // node (models propagation + forwarding turnaround after each hop).
   Slot ready_slot = 0;
-  // ECN-like congestion mark: set when the cell is enqueued into a VOQ
-  // already holding at least NetworkConfig::ecn_threshold_cells cells.
-  // Carried to the receiver and echoed to the transport at delivery.
-  bool ecn = false;
 
   NodeId current() const { return path.at(hop); }
   NodeId next_hop() const { return path.at(hop + 1); }
   bool at_destination() const { return hop == path.size() - 1; }
 };
+
+// VOQ chunks and the engine's staged events copy whole Cells; both
+// compiler legs must keep the tail-padding layout.
+static_assert(sizeof(Cell) == 64, "Cell must fit one 64-byte cache line");
 
 }  // namespace sorn

@@ -1,7 +1,6 @@
 #include "sim/network.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "util/assert.h"
 
@@ -145,26 +144,37 @@ void SlottedNetwork::deliver(const Cell& cell) {
   if (transport_ != nullptr && first_copy) transport_->on_ack(cell, now_ + 1);
 }
 
-// One lane's sweep, sharded across the pool (a 1-thread pool runs the
-// single shard inline). Phase 1: each shard scans its contiguous node
-// range in order, popping transmittable heads — node i only ever pops its
-// own queues, so pops are disjoint across shards — and staging the
-// advanced cells. Phase 2 (coordinating thread): stages are merged in
+// One slot, sharded across the pool in a single batch (a 1-thread pool
+// runs the single shard inline). Phase 1: each shard scans its contiguous
+// node range in order and, for each node, every lane in order, popping
+// transmittable heads — node i only ever pops its own queues, so pops are
+// disjoint across shards, and a node's index stays in cache for all of its
+// lanes — and staging the advanced cells per lane. Phase 2 (coordinating
+// thread): the stages are replayed lane by lane, and within a lane in
 // shard order, which is node order, so every side effect with observable
-// ordering (metrics, trace events, pushes, drops) replays in node order
-// and the result does not depend on the thread count.
+// ordering (metrics, trace events, pushes, drops) replays in the order of
+// a lane-by-lane, node-by-node sweep and does not depend on the thread
+// count.
 //
-// The replay is equivalent to an interleaved sweep in which node i pushes
-// into its peer's queue *before* nodes j > i pop. A pushed cell is never
+// The replay is equivalent to that interleaved sweep, in which node i
+// pushes into its peer's queue *before* nodes j > i pop in the same lane
+// and before any node pops in later lanes. A pushed cell is never
 // transmittable in the same slot (ready_slot > now), so deferring the
 // pushes can change queue *sizes* only, never heads; the merge
-// reconstructs the interleaved-order size from the popped_ marks below.
-void SlottedNetwork::step_lane(const Matching& m, PhaseProfiler* prof) {
-  // Both the capacity check and the ECN mark decision need the
-  // interleaved-order queue size, reconstructed from the popped_ marks.
-  const bool sized =
-      config_.max_queue_cells > 0 || config_.ecn_threshold_cells > 0;
-  if (sized) std::fill(popped_.begin(), popped_.end(), std::uint8_t{0});
+// reconstructs the interleaved-order size from the popped_ marks
+// (pops_after_push).
+void SlottedNetwork::step() {
+  PhaseProfiler* const prof =
+      profiler_ != nullptr ? &profiler_->phases() : nullptr;
+  const int lanes = config_.lanes;
+  {
+    ScopedPhase advance(prof, ProfPhase::kScheduleAdvance);
+    const Slot period = schedule_->period();
+    for (int lane = 0; lane < lanes; ++lane) {
+      lane_matchings_[static_cast<std::size_t>(lane)] = &schedule_->matching_at(
+          now_ + lane_phase(period, lanes, lane));
+    }
+  }
   // Turnaround at the relay: receivable next slot at the earliest; the
   // propagation delay is modelled in readiness as whole slots (rounded up)
   // and in wall-clock latency exactly (metrics).
@@ -178,42 +188,52 @@ void SlottedNetwork::step_lane(const Matching& m, PhaseProfiler* prof) {
         static_cast<int>(shard_plan_.size()), [&, this](int s) {
           const ShardRange range = shard_plan_[static_cast<std::size_t>(s)];
           ShardStage& stage = stages_[static_cast<std::size_t>(s)];
-          stage.events.clear();
+          for (std::vector<StagedEvent>& events : stage.lanes) events.clear();
           stage.pops = 0;
           for (NodeId i = range.begin; i < range.end; ++i) {
-            const NodeId peer = m.dst_of(i);
-            if (peer == i) continue;
-            if (failures_.any_failures() && !failures_.usable(i, peer))
-              continue;
-            // Gray decisions are stateless seeded hashes (no shared Rng),
-            // so shards can evaluate them; the merge replays the outcome
-            // in node order like every other side effect. A throttled
-            // circuit's inactive slot behaves like a one-slot outage: the
-            // head cell stays queued and retries next opportunity.
-            const GrayCircuit* gray = nullptr;
-            if (gray_.any()) {
-              gray = gray_.find(i, peer);
-              if (gray != nullptr &&
-                  !gray_.slot_active(now_, i, peer, *gray))
+            for (int lane = 0; lane < lanes; ++lane) {
+              // A node's marks are written by the shard that owns it, so
+              // every mark of the slot is reset here, not in a serial fill.
+              std::uint8_t& popped =
+                  popped_[static_cast<std::size_t>(i) * lanes + lane];
+              popped = 0;
+              const NodeId peer =
+                  lane_matchings_[static_cast<std::size_t>(lane)]->dst_of(i);
+              if (peer == i) continue;
+              if (failures_.any_failures() && !failures_.usable(i, peer))
                 continue;
+              // Gray decisions are stateless seeded hashes (no shared Rng),
+              // so shards can evaluate them; the merge replays the outcome
+              // in order like every other side effect. A throttled
+              // circuit's inactive slot behaves like a one-slot outage:
+              // the head cell stays queued and retries next opportunity.
+              const GrayCircuit* gray = nullptr;
+              if (gray_.any()) {
+                gray = gray_.find(i, peer);
+                if (gray != nullptr &&
+                    !gray_.slot_active(now_, i, peer, *gray))
+                  continue;
+              }
+              const Cell* head = voqs_.peek(i, peer, now_);
+              if (head == nullptr) continue;
+              StagedEvent ev;
+              ev.cell = *head;
+              voqs_.pop_sharded(i, peer);
+              ++stage.pops;
+              popped = 1;
+              std::vector<StagedEvent>& events =
+                  stage.lanes[static_cast<std::size_t>(lane)];
+              if (gray != nullptr &&
+                  gray_.cell_lost(now_, i, peer, *gray, ev.cell)) {
+                ev.gray_drop = true;
+                events.push_back(ev);
+                continue;
+              }
+              ++ev.cell.hop;
+              ev.deliver = ev.cell.at_destination();
+              if (!ev.deliver) ev.cell.ready_slot = now_ + 1 + prop_slots;
+              events.push_back(ev);
             }
-            const Cell* head = voqs_.peek(i, peer, now_);
-            if (head == nullptr) continue;
-            StagedEvent ev;
-            ev.cell = *head;
-            voqs_.pop_sharded(i, peer);
-            ++stage.pops;
-            if (sized) popped_[static_cast<std::size_t>(i)] = 1;
-            if (gray != nullptr &&
-                gray_.cell_lost(now_, i, peer, *gray, ev.cell)) {
-              ev.gray_drop = true;
-              stage.events.push_back(ev);
-              continue;
-            }
-            ++ev.cell.hop;
-            ev.deliver = ev.cell.at_destination();
-            if (!ev.deliver) ev.cell.ready_slot = now_ + 1 + prop_slots;
-            stage.events.push_back(ev);
           }
         });
   } catch (...) {
@@ -228,65 +248,50 @@ void SlottedNetwork::step_lane(const Matching& m, PhaseProfiler* prof) {
     throw;
   }
   in_parallel_sweep_ = false;
-  std::uint64_t pops = 0;
-  // optional<> so the merge scope closes before the settle scope opens
-  // without re-nesting the whole replay loop.
-  std::optional<ScopedPhase> merge;
-  if (prof != nullptr) merge.emplace(prof, ProfPhase::kMergeReplay);
-  for (ShardStage& stage : stages_) {
-    pops += stage.pops;
-    for (StagedEvent& ev : stage.events) {
-      if (ev.gray_drop) {
-        // Transmitted but lost in flight; the end-host retransmission
-        // policy recovers the flow, duplicates are dedupped at the
-        // receiver. hop was not advanced for a lost cell: current()/
-        // next_hop() are still the circuit it was popped from.
-        if (checker_ != nullptr)
-          checker_->on_transmit(now_, ev.cell.current(), ev.cell.next_hop());
-        metrics_.on_gray_drop();
-        if (telemetry_ != nullptr)
-          telemetry_->on_gray_drop(now_, ev.cell.current(),
-                                   ev.cell.next_hop(), ev.cell.flow);
-        continue;
+  // Both the capacity check and the ECN mark decision need the
+  // interleaved-order queue size, reconstructed from the popped_ marks.
+  const bool sized =
+      config_.max_queue_cells > 0 || config_.ecn_threshold_cells > 0;
+  {
+    ScopedPhase merge(prof, ProfPhase::kMergeReplay);
+    for (int lane = 0; lane < lanes; ++lane) {
+      for (ShardStage& stage : stages_) {
+        for (StagedEvent& ev : stage.lanes[static_cast<std::size_t>(lane)]) {
+          if (ev.gray_drop) {
+            // Transmitted but lost in flight; the end-host retransmission
+            // policy recovers the flow, duplicates are dedupped at the
+            // receiver. hop was not advanced for a lost cell: current()/
+            // next_hop() are still the circuit it was popped from.
+            if (checker_ != nullptr)
+              checker_->on_transmit(now_, ev.cell.current(),
+                                    ev.cell.next_hop());
+            metrics_.on_gray_drop();
+            if (telemetry_ != nullptr)
+              telemetry_->on_gray_drop(now_, ev.cell.current(),
+                                       ev.cell.next_hop(), ev.cell.flow);
+            continue;
+          }
+          const NodeId src = ev.cell.path.at(ev.cell.hop - 1);
+          const NodeId at = ev.cell.current();
+          if (checker_ != nullptr) checker_->on_transmit(now_, src, at);
+          if (ev.deliver) {
+            deliver(ev.cell);
+            continue;
+          }
+          metrics_.on_forward();
+          enqueue_or_drop(ev.cell,
+                          sized ? pops_after_push(src, at, ev.cell.next_hop(),
+                                                  lane)
+                                : 0);
+        }
       }
-      const NodeId src = ev.cell.path.at(ev.cell.hop - 1);
-      const NodeId at = ev.cell.current();
-      if (checker_ != nullptr) checker_->on_transmit(now_, src, at);
-      if (ev.deliver) {
-        deliver(ev.cell);
-        continue;
-      }
-      metrics_.on_forward();
-      // In the interleaved sweep, node `at`'s own pop this lane happens
-      // after the push from src when at > src; the sweep already popped,
-      // so count that cell back when sizing. (`at` is the only node
-      // popping queue (at, next), and src the only node pushing into it
-      // this lane — the matching is a permutation.)
-      const bool unpopped = sized && at > src &&
-                            popped_[static_cast<std::size_t>(at)] &&
-                            m.dst_of(at) == ev.cell.next_hop();
-      enqueue_or_drop(ev.cell, unpopped ? 1 : 0);
     }
   }
-  merge.reset();
   {
     ScopedPhase settle(prof, ProfPhase::kVoqSettle);
+    std::uint64_t pops = 0;
+    for (const ShardStage& stage : stages_) pops += stage.pops;
     voqs_.settle_total(pops);
-  }
-}
-
-void SlottedNetwork::step() {
-  PhaseProfiler* const prof =
-      profiler_ != nullptr ? &profiler_->phases() : nullptr;
-  const Slot period = schedule_->period();
-  for (int lane = 0; lane < config_.lanes; ++lane) {
-    const Slot t = now_ + lane_phase(period, config_.lanes, lane);
-    const Matching* m;
-    {
-      ScopedPhase advance(prof, ProfPhase::kScheduleAdvance);
-      m = &schedule_->matching_at(t);
-    }
-    step_lane(*m, prof);
   }
   metrics_.on_slot(voqs_.total_queued());
   if (checker_ != nullptr) {
@@ -310,6 +315,26 @@ void SlottedNetwork::step() {
     prof->end_slot();
   }
   ++now_;
+}
+
+// The sweep has already made every pop of the slot, so queue (at, next)
+// is short by pops the interleaved sweep makes only after this push: the
+// pop `at` makes in the same lane when it comes after `src` in node order,
+// and every pop `at` makes of that queue in a later lane. (`at` is the
+// only node popping its queues, and two lanes whose phases land on the
+// same matching serve the same queue twice in one slot.)
+std::uint64_t SlottedNetwork::pops_after_push(NodeId src, NodeId at,
+                                              NodeId next, int lane) const {
+  const int lanes = config_.lanes;
+  const std::uint8_t* const popped =
+      &popped_[static_cast<std::size_t>(at) * lanes];
+  std::uint64_t pops = 0;
+  for (int l = at > src ? lane : lane + 1; l < lanes; ++l) {
+    if (popped[l] &&
+        lane_matchings_[static_cast<std::size_t>(l)]->dst_of(at) == next)
+      ++pops;
+  }
+  return pops;
 }
 
 void SlottedNetwork::run(Slot slots) {
@@ -345,8 +370,12 @@ void SlottedNetwork::set_threads(int threads) {
   SORN_ASSERT(threads >= 1, "need at least one engine thread");
   pool_ = std::make_unique<ThreadPool>(threads);
   shard_plan_ = shard_ranges(n_, threads);
-  stages_.assign(shard_plan_.size(), ShardStage{});
-  popped_.assign(static_cast<std::size_t>(n_), 0);
+  stages_.assign(shard_plan_.size(),
+                 ShardStage{std::vector<std::vector<StagedEvent>>(
+                                static_cast<std::size_t>(config_.lanes)),
+                            0});
+  lane_matchings_.assign(static_cast<std::size_t>(config_.lanes), nullptr);
+  popped_.assign(static_cast<std::size_t>(n_) * config_.lanes, 0);
   // A pool created while a profiler is attached starts accounting
   // immediately (set_threads after set_profiler and vice versa both work).
   if (profiler_ != nullptr) pool_->enable_profiling(true);

@@ -103,15 +103,15 @@ class SlottedNetwork {
   void run(Slot slots);
 
   // ---- Slot engine threads ----
-  // Shard each lane's node sweep across a pool of `threads` persistent
+  // Shard each slot's node sweep across a pool of `threads` persistent
   // workers, replacing the current pool (call between slots). A network
   // starts with a 1-thread pool, which runs the sweep inline on the
   // calling thread with no workers or synchronization. Results —
   // metrics, traces, time-series rows — are byte-identical for the same
-  // seed at any thread count: shards stage their transmit outcomes in
-  // node order and the merge replays every side effect (metrics, pushes,
-  // drops, telemetry) in node order (see DESIGN.md, "Parallel slot
-  // engine").
+  // seed at any thread count: shards stage their transmit outcomes per
+  // lane in node order and the merge replays every side effect (metrics,
+  // pushes, drops, telemetry) lane by lane in node order (see DESIGN.md,
+  // "Parallel slot engine").
   void set_threads(int threads);
   int threads() const { return pool_->thread_count(); }
 
@@ -182,7 +182,7 @@ class SlottedNetwork {
   };
   std::uint64_t retransmit_stalled(const RetransmitPolicy& policy);
 
-  // True while a lane sweep is running; anything that draws rng_ or
+  // True while the slot's sweep is running; anything that draws rng_ or
   // mutates shared state (injection, fault ticks) must see false.
   bool in_parallel_sweep() const { return in_parallel_sweep_; }
 
@@ -228,7 +228,7 @@ class SlottedNetwork {
   // ---- Closed-loop transport (sim/transport_hook.h) ----
   // Attach a borrowed transport: every first-copy delivery is echoed back
   // through Transport::on_ack, always on the coordinating thread (the
-  // lane sweep's merge replay), so the §6 determinism contract holds with
+  // sweep's merge replay), so the §6 determinism contract holds with
   // a transport attached. nullptr detaches; detached sites cost one null
   // check.
   void set_transport(Transport* transport) { transport_ = transport; }
@@ -241,9 +241,9 @@ class SlottedNetwork {
   const Router* router() const { return router_; }
 
  private:
-  // Staged outcome of one transmit, produced by the lane sweep's shards
-  // and replayed in node order by the merge phase. The cell is already
-  // advanced (hop incremented, ready_slot set for forwards).
+  // Staged outcome of one transmit, produced by the sweep's shards and
+  // replayed lane by lane in node order by the merge phase. The cell is
+  // already advanced (hop incremented, ready_slot set for forwards).
   struct StagedEvent {
     Cell cell;
     bool deliver = false;
@@ -252,19 +252,22 @@ class SlottedNetwork {
     bool gray_drop = false;
   };
   struct ShardStage {
-    std::vector<StagedEvent> events;  // in ascending node order
-    std::uint64_t pops = 0;           // settled into VoqSet::total_ at merge
+    // One list per lane, each in ascending node order.
+    std::vector<std::vector<StagedEvent>> lanes;
+    std::uint64_t pops = 0;  // settled into VoqSet::total_ at merge
   };
 
-  // Sweep one lane: sharded pops, then the merge replay (see network.cpp).
-  void step_lane(const Matching& m, PhaseProfiler* prof);
+  // Pops of queue (at, next) that the lane-by-lane interleaved sweep
+  // makes after `src`'s push into it in lane `lane` (see step()).
+  std::uint64_t pops_after_push(NodeId src, NodeId at, NodeId next,
+                                int lane) const;
   // Tail-drop accounting + telemetry for a cell that failed to enqueue.
   void drop(const Cell& cell);
   // The one capacity/ECN admission decision, made for every push:
   // injection, retransmission and the merge's forwards. Both the capacity
   // check and the ECN mark judge size_of(target queue) + `unpopped`; the
-  // merge passes 1 for a pop that the node owning the target queue makes
-  // after this push in node order (see step_lane).
+  // merge passes the pops that the node owning the target queue makes
+  // after this push in lane-by-lane node order (see step()).
   void enqueue_or_drop(Cell& cell, std::uint64_t unpopped = 0);
   // Delivery bookkeeping: invariant hook, metrics, and the transport ack
   // echo for first copies.
@@ -288,16 +291,18 @@ class SlottedNetwork {
   InvariantChecker* checker_ = nullptr;
   Transport* transport_ = nullptr;
 
-  // Slot engine state. rng_ must never be drawn inside the lane sweep
+  // Slot engine state. rng_ must never be drawn inside the sweep
   // (injection — the only RNG consumer — happens between slots);
   // in_parallel_sweep_ guards against that ever regressing. pool_ is
   // never null: the constructor installs a 1-thread pool.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<ShardRange> shard_plan_;
   std::vector<ShardStage> stages_;
-  // Per-node "popped its VOQ head this lane" marks, used by the merge to
-  // reconstruct the node-order queue size for capacity checks and ECN
-  // mark decisions.
+  // This slot's matching per lane, looked up before the sweep.
+  std::vector<const Matching*> lane_matchings_;
+  // "Node i popped its VOQ head in lane l this slot" marks at
+  // [i * lanes + l], used by the merge to reconstruct the interleaved-
+  // order queue size for capacity checks and ECN mark decisions.
   std::vector<std::uint8_t> popped_;
   bool in_parallel_sweep_ = false;
 };

@@ -130,26 +130,34 @@ TEST(ProfileDeterminismTest, ProfileReportsEveryExercisedPhase) {
 }
 
 // A 1-thread run sweeps through the same pool as any other thread count:
-// an inline pool with one worker (the calling thread) and one batch per
-// lane sweep. batches == slots x lanes pins the per-lane barrier count.
+// an inline pool with one worker (the calling thread). Every lane of a
+// slot is swept in the same batch, so batches == slots at any thread and
+// lane count pins one barrier per slot.
 TEST(ProfileDeterminismTest, OneThreadProfileReportsTheInlinePool) {
   constexpr int kLanes = 2;
-  const Artifacts prof = run_scenario(1, true, kLanes);
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(json_parse(prof.profile_json, &doc, &error)) << error;
-  const JsonValue* slots = doc.find("slots");
-  const JsonValue* pool = doc.find("pool");
-  ASSERT_NE(slots, nullptr);
-  ASSERT_NE(pool, nullptr);
-  ASSERT_GT(slots->as_int(), 0);
-  EXPECT_EQ(pool->find("threads")->as_int(), 1);
-  ASSERT_EQ(pool->find("workers")->items().size(), 1u);
-  EXPECT_EQ(pool->find("batches")->as_int(), slots->as_int() * kLanes);
-  // One shard per batch, all run by the one worker.
-  EXPECT_EQ(pool->find("shards")->as_int(), slots->as_int() * kLanes);
-  EXPECT_EQ(pool->find("workers")->items()[0].find("shards")->as_int(),
-            slots->as_int() * kLanes);
+  for (const int threads : {1, 2}) {
+    const Artifacts prof = run_scenario(threads, true, kLanes);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(json_parse(prof.profile_json, &doc, &error)) << error;
+    const JsonValue* slots = doc.find("slots");
+    const JsonValue* pool = doc.find("pool");
+    ASSERT_NE(slots, nullptr);
+    ASSERT_NE(pool, nullptr);
+    ASSERT_GT(slots->as_int(), 0);
+    EXPECT_EQ(pool->find("threads")->as_int(), threads);
+    ASSERT_EQ(pool->find("workers")->items().size(),
+              static_cast<std::size_t>(threads));
+    EXPECT_EQ(pool->find("batches")->as_int(), slots->as_int())
+        << "threads=" << threads;
+    // One shard per thread in each batch (the node range splits in two at
+    // 2 threads); the inline pool's one worker runs every shard.
+    EXPECT_EQ(pool->find("shards")->as_int(), threads * slots->as_int());
+    if (threads == 1) {
+      EXPECT_EQ(pool->find("workers")->items()[0].find("shards")->as_int(),
+                slots->as_int());
+    }
+  }
 }
 
 }  // namespace

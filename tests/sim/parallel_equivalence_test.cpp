@@ -127,6 +127,53 @@ Artifacts run_capped(int threads) {
   return out;
 }
 
+// Two lanes serving one queue in the same slot: round_robin(4) has period
+// 3, so four lanes get phases 0, 0, 1, 2 and lanes 0 and 1 run the same
+// matching. A relay's queue can then be popped twice in one slot, and the
+// capacity/ECN size of a push in lane l must count back the pops that
+// later lanes made of that queue. Tight caps and a threshold of one keep
+// both decisions on the line every slot.
+Artifacts run_shared_queue(int threads) {
+  const CircuitSchedule s = ScheduleBuilder::round_robin(4);
+  const VlbRouter router(&s, LbMode::kRandom);
+  NetworkConfig config;
+  config.lanes = 4;
+  config.propagation_per_hop = 0;
+  config.max_queue_cells = 3;
+  config.ecn_threshold_cells = 1;
+  SlottedNetwork net(&s, &router, config);
+  net.set_threads(threads);
+
+  Telemetry telemetry;
+  MemoryTraceSink sink;
+  telemetry.set_trace_sink(&sink);
+  net.set_telemetry(&telemetry);
+
+  Rng rng(2024);
+  for (int round = 0; round < 500; ++round) {
+    for (int k = 0; k < 10; ++k) {
+      const auto src = static_cast<NodeId>(rng.next_below(4));
+      auto dst = static_cast<NodeId>(rng.next_below(4));
+      if (dst == src) dst = (dst + 1) % 4;
+      net.inject_cell(src, dst);
+    }
+    net.step();
+  }
+  net.run(32);
+
+  Artifacts out;
+  ExportOptions eopts;
+  eopts.nodes = 4;
+  eopts.lanes = config.lanes;
+  out.metrics_json = run_to_json(net.metrics(), &telemetry, eopts);
+  out.trace_lines = sink.lines();
+  out.delivered = net.metrics().delivered_cells();
+  out.dropped = net.metrics().dropped_cells();
+  out.forwarded = net.metrics().forwarded_cells();
+  out.in_flight = net.cells_in_flight();
+  return out;
+}
+
 // Failure injection mid-run: failed nodes/circuits skip transmits, which
 // must shard identically.
 Artifacts run_failures(int threads) {
@@ -332,6 +379,19 @@ TEST(ParallelEquivalenceTest, CappedQueuesDropIdentically) {
     if (threads == 1) continue;
     expect_identical(base, run_capped(threads), threads);
   }
+}
+
+// The digests were captured from the per-lane engine (one pool batch and
+// one merge per lane), whose interleaved order the one-batch-per-slot
+// sweep reconstructs.
+TEST(ParallelEquivalenceTest, TwoLanesServingOneQueueSizeLikeTheLaneOrder) {
+  const Artifacts base = run_shared_queue(1);
+  expect_digests(base, Digests{.metrics_json = 0x9e2d1473578661fa,
+                               .trace = 0x5202a1c737199e51});
+  ASSERT_GT(base.dropped, 0u) << "scenario must exercise tail drops";
+  ASSERT_GT(base.forwarded, 0u);
+  for (const int threads : {2, 3})
+    expect_identical(base, run_shared_queue(threads), threads);
 }
 
 // Acceptance criterion of the fault-injection PR: stochastic faults plus

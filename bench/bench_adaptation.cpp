@@ -25,10 +25,9 @@
 #include <string>
 
 #include "analysis/models.h"
-#include "bench_args.h"
+#include "bench_report.h"
 #include "control/control_plane.h"
 #include "core/sorn.h"
-#include "obs/export.h"
 #include "obs/telemetry.h"
 #include "scenario/scenario_runner.h"
 #include "sim/saturation.h"
@@ -54,7 +53,7 @@ double sat_throughput(sorn::SlottedNetwork& net,
 int main(int argc, char** argv) {
   using namespace sorn;
   bench::ArgParser args(argc, argv);
-  const std::string json_path = args.get_string("--json", "");
+  bench::BenchReport report("bench_adaptation", args);
   const std::string trace_path = args.get_string("--trace", "");
   args.finish();
   Telemetry telemetry;
@@ -163,16 +162,6 @@ int main(int argc, char** argv) {
                  format("%.4f", flat->saturation_r())});
 
   table.print();
-  if (!json_path.empty()) {
-    const std::string doc =
-        "{\"bench\": \"bench_adaptation\", \"rows\": " + table.to_json() +
-        "}\n";
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
   if (!trace_path.empty())
     std::printf("\nwrote event trace %s\n", trace_path.c_str());
   std::printf(
@@ -182,5 +171,6 @@ int main(int argc, char** argv) {
       "pays delta_m = %d circuits vs SORN's intra %.0f (theory: %.3f).\n",
       analysis::sorn_throughput(kLocality), kNodes - 1, net.delta_m_intra(),
       analysis::sorn_throughput(kLocality));
-  return 0;
+  report.rows(table);
+  return report.finish();
 }

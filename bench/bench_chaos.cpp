@@ -4,21 +4,21 @@
 //
 // Exit nonzero on the first failing seed, printing the one-line replay
 // recipe — that command alone reproduces the failure anywhere. With
-// --json a machine-readable summary (seeds passed, aggregate fault
-// counts) is written; CI runs the nightly campaign through this binary
-// and uploads failing seeds as artifacts.
+// --json a machine-readable summary (seeds passed, the per-seed table,
+// and on failure the failing seed and its replay recipe) is written; CI
+// runs the nightly campaign through this binary and uploads failing
+// seeds as artifacts.
 #include <cstdio>
 #include <string>
 
-#include "bench_args.h"
-#include "obs/export.h"
+#include "bench_report.h"
 #include "scenario/chaos.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace sorn;
   bench::ArgParser args(argc, argv);
-  const std::string json_path = args.get_string("--json", "");
+  bench::BenchReport report("bench_chaos", args);
   const std::uint64_t first_seed =
       static_cast<std::uint64_t>(args.get_long("--seed", 1, 0));
   const long runs = args.get_long("--runs", 5, 1);
@@ -28,6 +28,8 @@ int main(int argc, char** argv) {
   knobs.compare_threads =
       static_cast<int>(args.get_long("--compare-threads", 3, 0));
   args.finish();
+  report.config("first_seed", first_seed);
+  report.config("runs", runs);
 
   std::uint64_t passed = 0;
   std::uint64_t total_faults = 0, total_gray = 0, total_outages = 0,
@@ -49,21 +51,14 @@ int main(int argc, char** argv) {
          format("%llu", static_cast<unsigned long long>(r.invariant_slots)),
          r.ok ? "pass" : "FAIL"});
     if (!r.ok) {
-      table.print();
       std::fprintf(stderr, "\nchaos seed %llu FAILED:\n%s\n\nreplay: %s\n",
                    static_cast<unsigned long long>(seed), r.error.c_str(),
                    r.replay.c_str());
-      if (!json_path.empty()) {
-        const std::string doc = format(
-            "{\"bench\": \"bench_chaos\", \"first_seed\": %llu, "
-            "\"runs\": %ld, \"failed_seed\": %llu, \"replay\": \"%s\", "
-            "\"metrics\": {\"seeds_passed\": %llu, \"all_passed\": 0}}\n",
-            static_cast<unsigned long long>(first_seed), runs,
-            static_cast<unsigned long long>(seed), r.replay.c_str(),
-            static_cast<unsigned long long>(passed));
-        write_text_file(json_path, doc);
-      }
-      return 1;
+      // The failing run's own inputs: its seed and the command that
+      // replays it.
+      report.config("failed_seed", seed);
+      report.config("replay", r.replay);
+      break;
     }
     ++passed;
     total_faults += r.faults_applied;
@@ -77,7 +72,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\n%llu/%ld seeds passed: %llu faults, %llu gray drops, %llu "
       "controller outages, %llu safe-mode entries, %llu replans, %llu "
-      "slots invariant-checked.\n",
+      "slots invariant-checked.\n\n",
       static_cast<unsigned long long>(passed), runs,
       static_cast<unsigned long long>(total_faults),
       static_cast<unsigned long long>(total_gray),
@@ -86,22 +81,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(total_replans),
       static_cast<unsigned long long>(total_slots));
 
-  if (!json_path.empty()) {
-    const std::string doc = format(
-        "{\"bench\": \"bench_chaos\", \"first_seed\": %llu, \"runs\": %ld, "
-        "\"total_faults\": %llu, \"total_gray_drops\": %llu, "
-        "\"total_controller_outages\": %llu, \"total_replans\": %llu, "
-        "\"metrics\": {\"seeds_passed\": %llu, \"all_passed\": 1}}\n",
-        static_cast<unsigned long long>(first_seed), runs,
-        static_cast<unsigned long long>(total_faults),
-        static_cast<unsigned long long>(total_gray),
-        static_cast<unsigned long long>(total_outages),
-        static_cast<unsigned long long>(total_replans),
-        static_cast<unsigned long long>(passed));
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  const bool all_passed = passed == static_cast<std::uint64_t>(runs);
+  report.metric("seeds_passed", passed);
+  report.metric("all_passed", all_passed);
+  report.rows(table);
+  report.gate("chaos campaign", all_passed,
+              "invariants and thread equivalence held for every seed");
+  return report.finish();
 }

@@ -29,8 +29,7 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_args.h"
-#include "obs/export.h"
+#include "bench_report.h"
 #include "scenario/scenario_runner.h"
 #include "util/table.h"
 
@@ -78,7 +77,7 @@ VariantResult run_variant(ScenarioConfig cfg, Slot measure_from,
 int main(int argc, char** argv) {
   using namespace sorn;
   bench::ArgParser args(argc, argv);
-  const std::string json_path = args.get_string("--json", "");
+  bench::BenchReport report("bench_degradation", args);
   const auto nodes = static_cast<NodeId>(args.get_long("--nodes", 64, 4));
   const auto cliques = static_cast<CliqueId>(args.get_long("--cliques", 8, 1));
   const double locality = args.get_double("--locality", 0.8, 0.0, 1.0);
@@ -148,9 +147,6 @@ int main(int argc, char** argv) {
   const double vlb_over_floor =
       floor.cells_per_slot > 0.0 ? vlb1.cells_per_slot / floor.cells_per_slot
                                  : 0.0;
-  const bool hold_ok = hold_over_floor >= floor_tol;
-  const bool vlb_ok = vlb_over_floor >= floor_tol;
-
   std::printf(
       "Controller-outage degradation: %d nodes, %d cliques, x=%.2f, "
       "load=%.2f, outage at %lld, window [%lld, %lld)\n\n",
@@ -168,47 +164,31 @@ int main(int argc, char** argv) {
   table.add_row({"pure-oblivious floor (vlb design)",
                  format("%.2f", floor.cells_per_slot), "1.000"});
   table.print();
-  std::printf(
-      "\n1-vs-4-thread artifacts %s; gates (>= %.2f x floor): hold %s, "
-      "vlb %s\n",
-      equivalent ? "byte-identical" : "DIFFER", floor_tol,
-      hold_ok ? "pass" : "FAIL", vlb_ok ? "pass" : "FAIL");
+  std::printf("\n");
 
-  if (!json_path.empty()) {
-    const std::string doc = format(
-        "{\"bench\": \"bench_degradation\", \"nodes\": %d, "
-        "\"cliques\": %d, \"locality\": %.2f, \"load\": %.2f, "
-        "\"slots\": %lld, \"outage_slot\": %lld, \"measure_from\": %lld, "
-        "\"epoch_slots\": %lld, \"metrics\": "
-        "{\"adaptive_cells_per_slot\": %.3f, "
-        "\"hold_cells_per_slot\": %.3f, "
-        "\"vlb_cells_per_slot\": %.3f, "
-        "\"floor_cells_per_slot\": %.3f, "
-        "\"hold_over_floor\": %.4f, \"vlb_over_floor\": %.4f, "
-        "\"equivalent\": %d}}\n",
-        nodes, cliques, locality, load, static_cast<long long>(slots),
-        static_cast<long long>(outage_slot),
-        static_cast<long long>(measure_from),
-        static_cast<long long>(epoch), adaptive.cells_per_slot,
-        hold.cells_per_slot, vlb1.cells_per_slot, floor.cells_per_slot,
-        hold_over_floor, vlb_over_floor, equivalent ? 1 : 0);
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  report.config("nodes", nodes);
+  report.config("cliques", cliques);
+  report.config("locality", locality);
+  report.config("load", load);
+  report.config("slots", slots);
+  report.config("outage_slot", outage_slot);
+  report.config("measure_from", measure_from);
+  report.config("epoch_slots", epoch);
+  report.metric("adaptive_cells_per_slot", adaptive.cells_per_slot, 3);
+  report.metric("hold_cells_per_slot", hold.cells_per_slot, 3);
+  report.metric("vlb_cells_per_slot", vlb1.cells_per_slot, 3);
+  report.metric("floor_cells_per_slot", floor.cells_per_slot, 3);
+  report.metric("hold_over_floor", hold_over_floor, 4);
+  report.metric("vlb_over_floor", vlb_over_floor, 4);
+  report.metric("equivalent", equivalent);
 
-  if (!equivalent) {
-    std::fprintf(stderr,
-                 "FAIL: metrics artifact differs between 1 and 4 threads\n");
-    return 1;
-  }
-  if (!hold_ok || !vlb_ok) {
-    std::fprintf(stderr,
-                 "FAIL: outage throughput fell below %.2f x the oblivious "
-                 "floor\n",
-                 floor_tol);
-    return 1;
-  }
-  return 0;
+  report.gate("equivalence", equivalent,
+              "outage-vlb metrics artifact identical at 1 and 4 threads");
+  report.gate("hold floor", hold_over_floor >= floor_tol,
+              format("safe mode hold at %.3f x floor (>= %.2f)",
+                     hold_over_floor, floor_tol));
+  report.gate("vlb floor", vlb_over_floor >= floor_tol,
+              format("safe mode vlb at %.3f x floor (>= %.2f)",
+                     vlb_over_floor, floor_tol));
+  return report.finish();
 }

@@ -29,9 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_args.h"
+#include "bench_report.h"
 #include "fault/fault_injector.h"
-#include "obs/export.h"
 #include "scenario/scenario_runner.h"
 #include "sim/parallel.h"
 #include "util/table.h"
@@ -39,7 +38,7 @@
 int main(int argc, char** argv) {
   using namespace sorn;
   bench::ArgParser args(argc, argv);
-  const std::string json_path = args.get_string("--json", "");
+  bench::BenchReport report("bench_fault_recovery", args);
   const auto nodes = static_cast<NodeId>(args.get_long("--nodes", 64, 4));
   const auto cliques =
       static_cast<CliqueId>(args.get_long("--cliques", 8, 1));
@@ -53,7 +52,8 @@ int main(int argc, char** argv) {
   const Slot timeout = args.get_long("--retransmit-timeout", 512, 1);
   const int threads = static_cast<int>(
       args.get_long("--threads", ThreadPool::default_threads(), 1));
-  const bench::ProfileOptions popts = bench::parse_profile_options(args);
+  ScenarioConfig cfg;
+  apply_scenario_flags(args, &cfg, {"profile", "profile_json"});
   args.finish();
   if (heal_slot <= fail_slot || slots <= heal_slot) {
     std::fprintf(stderr,
@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
   }
   const FaultScript script = FaultScript::from_events(events);
 
-  ScenarioConfig cfg;
   cfg.design = "sorn";
   cfg.nodes = nodes;
   cfg.cliques = cliques;
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
   cfg.slots = slots;
   cfg.retransmit_timeout = timeout;
   cfg.overrides.fault_script = &script;
-  bench::apply_profile(popts, cfg);
 
   std::string error;
   auto runner = ScenarioRunner::create(cfg, &error);
@@ -201,42 +199,27 @@ int main(int argc, char** argv) {
                  format("%llu", static_cast<unsigned long long>(open))});
   table.print();
 
-  if (!json_path.empty()) {
-    // Everything in "metrics" here is simulator-deterministic (same seed,
-    // same windows), so check_bench.py compares it near-exactly.
-    const std::string doc = format(
-        "{\"bench\": \"bench_fault_recovery\", \"nodes\": %d, "
-        "\"blast_nodes\": %d, \"fail_slot\": %lld, \"heal_slot\": %lld, "
-        "\"pre_fault_cells_per_window\": %.2f, \"dip_frac\": %.4f, "
-        "\"recovered\": %s, \"time_to_recover_slots\": %lld, "
-        "\"retransmit_events\": %llu, \"retransmitted_cells\": %llu, "
-        "\"duplicate_cells\": %llu, \"recovered_flows\": %llu, "
-        "\"open_flows\": %llu, \"metrics\": "
-        "{\"pre_fault_cells_per_window\": %.2f, \"dip_frac\": %.4f, "
-        "\"recovered\": %d, \"time_to_recover_slots\": %lld, "
-        "\"retransmitted_cells\": %llu, \"open_flows\": %llu}}\n",
-        nodes, blast, static_cast<long long>(fail_slot),
-        static_cast<long long>(heal_slot), pre_fault, dip_frac,
-        recovered ? "true" : "false",
-        static_cast<long long>(time_to_recover),
-        static_cast<unsigned long long>(metrics.retransmit_events()),
-        static_cast<unsigned long long>(metrics.retransmitted_cells()),
-        static_cast<unsigned long long>(metrics.duplicate_cells()),
-        static_cast<unsigned long long>(metrics.recovered_flows()),
-        static_cast<unsigned long long>(open), pre_fault, dip_frac,
-        recovered ? 1 : 0, static_cast<long long>(time_to_recover),
-        static_cast<unsigned long long>(metrics.retransmitted_cells()),
-        static_cast<unsigned long long>(open));
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
+  std::printf("\n");
 
-  std::printf("\ngate: recovered %s, open flows %llu — %s\n",
-              recovered ? "yes" : "NO",
-              static_cast<unsigned long long>(open),
-              recovered && open == 0 ? "PASS" : "FAIL");
-  return recovered && open == 0 ? 0 : 1;
+  // Every metric here is simulator-deterministic (same seed, same
+  // windows), so check_bench.py compares it near-exactly.
+  report.config("nodes", nodes);
+  report.config("blast_nodes", blast);
+  report.config("fail_slot", fail_slot);
+  report.config("heal_slot", heal_slot);
+  report.metric("pre_fault_cells_per_window", pre_fault, 2);
+  report.metric("dip_frac", dip_frac, 4);
+  report.metric("recovered", recovered);
+  report.metric("time_to_recover_slots", time_to_recover);
+  report.metric("retransmit_events", metrics.retransmit_events());
+  report.metric("retransmitted_cells", metrics.retransmitted_cells());
+  report.metric("duplicate_cells", metrics.duplicate_cells());
+  report.metric("recovered_flows", metrics.recovered_flows());
+  report.metric("open_flows", open);
+
+  report.gate("recovery gate", recovered && open == 0,
+              format("recovered %s, open flows %llu",
+                     recovered ? "yes" : "NO",
+                     static_cast<unsigned long long>(open)));
+  return report.finish();
 }

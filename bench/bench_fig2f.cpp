@@ -10,15 +10,14 @@
 // Each measurement point is one ScenarioConfig driven through the
 // ScenarioRunner, so this bench exercises the exact code path of
 // `sorn_tool simulate --design sorn`.
-// With `--json <file>` the table is additionally written as a JSON array
-// of row objects (machine-readable BENCH_*.json trajectories).
+// With `--json <file>` the table is additionally written as the report's
+// "rows" (bench/bench_report.h).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "analysis/models.h"
-#include "bench_args.h"
-#include "obs/export.h"
+#include "bench_report.h"
 #include "scenario/scenario_runner.h"
 #include "sim/parallel.h"
 #include "topo/schedule_builder.h"
@@ -47,7 +46,7 @@ double measure_scenario(const ScenarioConfig& cfg) {
 int main(int argc, char** argv) {
   using namespace sorn;
   bench::ArgParser args(argc, argv);
-  const std::string json_path = args.get_string("--json", "");
+  bench::BenchReport report("bench_fig2f", args);
   const int threads = static_cast<int>(
       args.get_long("--threads", ThreadPool::default_threads(), 1));
   args.finish();
@@ -108,17 +107,9 @@ int main(int argc, char** argv) {
                    format("%.3f", r_sim.mean() / r_theory)});
   }
   table.print();
-  if (!json_path.empty()) {
-    const std::string doc =
-        "{\"bench\": \"bench_fig2f\", \"rows\": " + table.to_json() + "}\n";
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
   std::printf(
       "\nShape check: r rises from ~1/3 at x=0 to ~1/2 at x=1 "
       "(paper Sec. 4: \"r is bounded between 1/3 and 1/2\").\n");
-  return 0;
+  report.rows(table);
+  return report.finish();
 }

@@ -22,8 +22,7 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_args.h"
-#include "obs/export.h"
+#include "bench_report.h"
 #include "scenario/scenario_runner.h"
 #include "util/table.h"
 
@@ -65,7 +64,7 @@ VariantResult run_variant(const ScenarioConfig& cfg) {
 int main(int argc, char** argv) {
   using namespace sorn;
   bench::ArgParser args(argc, argv);
-  const std::string json_path = args.get_string("--json", "");
+  bench::BenchReport report("bench_incast", args);
   const auto nodes = static_cast<NodeId>(args.get_long("--nodes", 64, 4));
   const auto cliques = static_cast<CliqueId>(args.get_long("--cliques", 8, 1));
   const int fanin = static_cast<int>(args.get_long("--fanin", 32, 2));
@@ -124,7 +123,6 @@ int main(int argc, char** argv) {
   }
 
   const bool equivalent = dctcp1.metrics_json == dctcp4.metrics_json;
-  const bool sheds_drops = dctcp1.dropped < open_loop.dropped;
   const double drop_ratio =
       open_loop.dropped > 0
           ? static_cast<double>(dctcp1.dropped) /
@@ -149,58 +147,33 @@ int main(int argc, char** argv) {
                    format("%.1f", v->p99_fct_us)});
   }
   table.print();
-  std::printf(
-      "\ndctcp drops at %.3fx open-loop; 1-vs-4-thread artifacts %s\n",
-      drop_ratio, equivalent ? "byte-identical" : "DIFFER");
+  std::printf("\n");
 
-  if (!json_path.empty()) {
-    const std::string doc = format(
-        "{\"bench\": \"bench_incast\", \"nodes\": %d, \"cliques\": %d, "
-        "\"fanin\": %d, \"bytes\": %llu, \"period\": %lld, "
-        "\"slots\": %lld, \"max_queue\": %u, \"ecn_threshold\": %u, "
-        "\"metrics\": "
-        "{\"openloop_dropped_cells\": %llu, "
-        "\"dctcp_dropped_cells\": %llu, "
-        "\"openloop_delivered_cells\": %llu, "
-        "\"dctcp_delivered_cells\": %llu, "
-        "\"dctcp_ecn_marked_cells\": %llu, "
-        "\"dctcp_flows_completed\": %llu, "
-        "\"equivalent\": %d}}\n",
-        nodes, cliques, fanin, static_cast<unsigned long long>(bytes),
-        static_cast<long long>(period), static_cast<long long>(slots),
-        max_queue, ecn,
-        static_cast<unsigned long long>(open_loop.dropped),
-        static_cast<unsigned long long>(dctcp1.dropped),
-        static_cast<unsigned long long>(open_loop.delivered),
-        static_cast<unsigned long long>(dctcp1.delivered),
-        static_cast<unsigned long long>(dctcp1.ecn_marked),
-        static_cast<unsigned long long>(dctcp1.flows),
-        equivalent ? 1 : 0);
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  report.config("nodes", nodes);
+  report.config("cliques", cliques);
+  report.config("fanin", fanin);
+  report.config("bytes", bytes);
+  report.config("period", period);
+  report.config("slots", slots);
+  report.config("max_queue", max_queue);
+  report.config("ecn_threshold", ecn);
+  report.metric("openloop_dropped_cells", open_loop.dropped);
+  report.metric("dctcp_dropped_cells", dctcp1.dropped);
+  report.metric("openloop_delivered_cells", open_loop.delivered);
+  report.metric("dctcp_delivered_cells", dctcp1.delivered);
+  report.metric("dctcp_ecn_marked_cells", dctcp1.ecn_marked);
+  report.metric("dctcp_flows_completed", dctcp1.flows);
+  report.metric("equivalent", equivalent);
 
-  if (!equivalent) {
-    std::fprintf(stderr,
-                 "FAIL: metrics artifact differs between 1 and 4 threads\n");
-    return 1;
-  }
-  if (open_loop.dropped == 0) {
-    std::fprintf(stderr,
-                 "FAIL: open-loop run never overflowed a VOQ — raise "
-                 "--fanin or lower --max-queue so the gate measures "
-                 "something\n");
-    return 1;
-  }
-  if (!sheds_drops) {
-    std::fprintf(stderr,
-                 "FAIL: dctcp dropped %llu cells, open-loop %llu — the "
-                 "closed loop must shed drops at equal offered load\n",
-                 static_cast<unsigned long long>(dctcp1.dropped),
-                 static_cast<unsigned long long>(open_loop.dropped));
-    return 1;
-  }
-  return 0;
+  report.gate("equivalence", equivalent,
+              "dctcp metrics artifact identical at 1 and 4 threads");
+  // A run that never overflowed a VOQ measures nothing: raise --fanin or
+  // lower --max-queue.
+  report.gate("open-loop overflows", open_loop.dropped > 0,
+              format("open-loop dropped %llu cells",
+                     static_cast<unsigned long long>(open_loop.dropped)));
+  report.gate("dctcp sheds drops", dctcp1.dropped < open_loop.dropped,
+              format("dctcp drops at %.3fx open-loop at equal offered load",
+                     drop_ratio));
+  return report.finish();
 }

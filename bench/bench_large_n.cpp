@@ -16,6 +16,10 @@
 //                 [--max-rss-mb 2048] [--min-slots-per-sec 10]
 //                 [--profile] [--profile-json profile.json]
 //
+// --nodes, --cliques, --load, --slots, --traffic-backend and the profile
+// flags are the ScenarioConfig field-table flags (same ranges and values
+// as `sorn_tool simulate`).
+//
 // The demand defaults to the procedural backend (O(N) state) — the dense
 // matrix would reintroduce the very O(N^2) dominator this bench gates.
 // All backends produce byte-identical metrics, so --traffic-backend dense
@@ -32,8 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_args.h"
-#include "obs/export.h"
+#include "bench_report.h"
 #include "scenario/scenario_runner.h"
 #include "util/rusage.h"
 #include "util/table.h"
@@ -47,7 +50,6 @@ struct Row {
   double seconds = 0.0;
   double slots_per_sec = 0.0;
   std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
   std::uint64_t completed_flows = 0;
   std::string metrics_json;
 };
@@ -56,62 +58,50 @@ struct Row {
 
 int main(int argc, char** argv) {
   bench::ArgParser args(argc, argv);
-  const std::string json_path = args.get_string("--json", "");
-  const auto nodes = static_cast<NodeId>(args.get_long("--nodes", 4096, 2));
-  const auto cliques =
-      static_cast<CliqueId>(args.get_long("--cliques", 64, 1));
-  const int lanes = static_cast<int>(args.get_long("--lanes", 16, 1));
-  const Slot slots = args.get_long("--slots", 400, 1);
-  const Slot drain = args.get_long("--drain", 4000, 0);
-  const double load = args.get_double("--load", 2.0, 0.0);
-  const std::uint64_t flow_bytes = static_cast<std::uint64_t>(
+  bench::BenchReport report("bench_large_n", args);
+  // Bench defaults; the field-table flags below override them.
+  ScenarioConfig cfg;
+  cfg.design = "sorn";
+  cfg.nodes = 4096;
+  cfg.cliques = 64;
+  cfg.locality_x = 0.6;
+  cfg.traffic_backend = DemandBackend::kProcedural;
+  cfg.propagation_ns = 0;
+  cfg.workload = WorkloadKind::kFlows;
+  cfg.load = 2.0;
+  cfg.slots = 400;
+  cfg.flow_size = FlowSizeKind::kFixed;
+  apply_scenario_flags(args, &cfg,
+                       {"nodes", "cliques", "load", "slots", "traffic_backend",
+                        "profile", "profile_json"});
+  cfg.lanes = static_cast<int>(args.get_long("--lanes", 16, 1));
+  cfg.drain_slots = args.get_long("--drain", 4000, 0);
+  cfg.fixed_flow_bytes = static_cast<std::uint64_t>(
       args.get_long("--flow-bytes", 40960, 256));
   const std::vector<int> thread_counts =
       args.get_int_list("--threads", {1, 4}, 1);
-  const std::string backend_name =
-      args.get_string("--traffic-backend", "procedural");
-  DemandBackend traffic_backend = DemandBackend::kProcedural;
-  if (!parse_demand_backend(backend_name, &traffic_backend)) {
-    std::fprintf(stderr,
-                 "--traffic-backend: unknown backend '%s' "
-                 "(dense|sparse|procedural)\n",
-                 backend_name.c_str());
-    return 2;
-  }
   const double max_rss_mb = args.get_double("--max-rss-mb", 0.0, 0.0);
   const double min_slots_per_sec =
       args.get_double("--min-slots-per-sec", 0.0, 0.0);
-  const bench::ProfileOptions popts = bench::parse_profile_options(args);
   args.finish();
+  const NodeId nodes = cfg.nodes;
+  const CliqueId cliques = cfg.cliques;
+  const int lanes = cfg.lanes;
+  const Slot slots = cfg.slots;
 
   std::printf(
       "Large-N scale check: %d nodes, %d cliques, %d lanes, load %.2f, "
       "%lld-slot horizon + %lld drain budget, fixed %llu-byte flows\n\n",
-      nodes, cliques, lanes, load, static_cast<long long>(slots),
-      static_cast<long long>(drain),
-      static_cast<unsigned long long>(flow_bytes));
+      nodes, cliques, lanes, cfg.load, static_cast<long long>(slots),
+      static_cast<long long>(cfg.drain_slots),
+      static_cast<unsigned long long>(cfg.fixed_flow_bytes));
 
   std::vector<Row> rows;
   for (const int t : thread_counts) {
-    ScenarioConfig cfg;
-    cfg.design = "sorn";
-    cfg.nodes = nodes;
-    cfg.cliques = cliques;
-    cfg.locality_x = 0.6;
-    cfg.traffic_backend = traffic_backend;
-    cfg.lanes = lanes;
-    cfg.propagation_ns = 0;
-    cfg.threads = t;
-    cfg.workload = WorkloadKind::kFlows;
-    cfg.load = load;
-    cfg.slots = slots;
-    cfg.drain_slots = drain;
-    cfg.flow_size = FlowSizeKind::kFixed;
-    cfg.fixed_flow_bytes = flow_bytes;
-    bench::apply_profile(popts, cfg);
-
+    ScenarioConfig run = cfg;
+    run.threads = t;
     std::string error;
-    auto runner = ScenarioRunner::create(cfg, &error);
+    auto runner = ScenarioRunner::create(run, &error);
     if (runner == nullptr) {
       std::fprintf(stderr, "scenario failed: %s\n", error.c_str());
       return 1;
@@ -131,7 +121,6 @@ int main(int argc, char** argv) {
     row.slots_per_sec =
         static_cast<double>(runner->metrics().slots_run()) / row.seconds;
     row.delivered = runner->metrics().delivered_cells();
-    row.dropped = runner->metrics().dropped_cells();
     row.completed_flows = runner->metrics().completed_flows();
     row.metrics_json = runner->metrics_json();
     rows.push_back(row);
@@ -159,56 +148,32 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.completed_flows))});
   }
   table.print();
-  std::printf("\npeak RSS: %.0f MB (process high-water mark)\n", rss_mb);
-  std::printf("equivalence across thread counts: %s\n",
-              equivalent ? "OK (identical metrics JSON)" : "FAILED");
+  std::printf("\npeak RSS: %.0f MB (process high-water mark)\n\n", rss_mb);
 
-  if (!json_path.empty()) {
-    // "metrics" holds the flat numeric gates ci/check_bench.py compares
-    // against the committed BENCH_large_n.json baseline: deterministic
-    // sim counts (near-exact tolerance) plus timing/memory (loose ratio).
-    std::string metrics =
-        "{\"peak_rss_mb\": " + format("%.1f", rss_mb) +
-        ", \"equivalent\": " + (equivalent ? "1" : "0") +
-        ", \"delivered_cells\": " +
-        format("%llu",
-               static_cast<unsigned long long>(
-                   rows.empty() ? 0 : rows.front().delivered)) +
-        ", \"completed_flows\": " +
-        format("%llu",
-               static_cast<unsigned long long>(
-                   rows.empty() ? 0 : rows.front().completed_flows));
-    for (const Row& row : rows)
-      metrics += ", \"slots_per_sec_t" + format("%d", row.threads) +
-                 "\": " + format("%.1f", row.slots_per_sec);
-    metrics += "}";
-    const std::string doc =
-        "{\"bench\": \"bench_large_n\", \"nodes\": " + format("%d", nodes) +
-        ", \"cliques\": " + format("%d", cliques) +
-        ", \"lanes\": " + format("%d", lanes) +
-        ", \"slots\": " + format("%lld", static_cast<long long>(slots)) +
-        ", \"peak_rss_mb\": " + format("%.1f", rss_mb) +
-        ", \"equivalent\": " + (equivalent ? "true" : "false") +
-        ", \"metrics\": " + metrics +
-        ", \"rows\": " + table.to_json() + "}\n";
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  // Deterministic sim counts (near-exact tolerance in check_bench.py) plus
+  // timing/memory (loose ratio bounds) against BENCH_large_n.json.
+  report.config("nodes", nodes);
+  report.config("cliques", cliques);
+  report.config("lanes", lanes);
+  report.config("slots", slots);
+  report.metric("peak_rss_mb", rss_mb, 1);
+  report.metric("equivalent", equivalent);
+  report.metric("delivered_cells", rows.empty() ? 0 : rows.front().delivered);
+  report.metric("completed_flows",
+                rows.empty() ? 0 : rows.front().completed_flows);
+  for (const Row& row : rows)
+    report.metric(format("slots_per_sec_t%d", row.threads), row.slots_per_sec,
+                  1);
+  report.rows(table);
 
-  if (!equivalent) return 1;
-  if (max_rss_mb > 0.0) {
-    std::printf("RSS gate: %.0f MB (ceiling %.0f MB) — %s\n", rss_mb,
-                max_rss_mb, rss_mb <= max_rss_mb ? "PASS" : "FAIL");
-    if (rss_mb > max_rss_mb) return 1;
-  }
-  if (min_slots_per_sec > 0.0) {
-    std::printf("throughput gate: %.0f slots/sec (floor %.0f) — %s\n",
-                slowest, min_slots_per_sec,
-                slowest >= min_slots_per_sec ? "PASS" : "FAIL");
-    if (slowest < min_slots_per_sec) return 1;
-  }
-  return 0;
+  report.gate("equivalence across thread counts", equivalent,
+              "identical metrics JSON");
+  if (max_rss_mb > 0.0)
+    report.gate("RSS gate", rss_mb <= max_rss_mb,
+                format("%.0f MB (ceiling %.0f MB)", rss_mb, max_rss_mb));
+  if (min_slots_per_sec > 0.0)
+    report.gate("throughput gate", slowest >= min_slots_per_sec,
+                format("%.0f slots/sec (floor %.0f)", slowest,
+                       min_slots_per_sec));
+  return report.finish();
 }

@@ -27,9 +27,8 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_args.h"
+#include "bench_report.h"
 #include "core/sorn.h"
-#include "obs/export.h"
 #include "obs/prof/profiler.h"
 #include "obs/telemetry.h"
 #include "sim/saturation.h"
@@ -91,10 +90,10 @@ NullTraceSink null_sink;
 
 int main(int argc, char** argv) {
   bench::ArgParser args(argc, argv);
+  bench::BenchReport report("bench_obs_overhead", args);
   g_slots = args.get_long("--slots", g_slots, 1);
   g_warmup_slots = args.get_long("--warmup", g_warmup_slots, 0);
   g_reps = static_cast<int>(args.get_long("--reps", g_reps, 1));
-  const std::string json_path = args.get_string("--json", "");
   args.finish();
   std::printf(
       "Telemetry overhead, %d-node saturated SORN fabric, %lld slots/run, "
@@ -137,32 +136,26 @@ int main(int argc, char** argv) {
   const double idle_overhead = (idle / detached - 1.0) * 100.0;
   const double profiled_overhead = (profiled / detached - 1.0) * 100.0;
   std::printf(
-      "\nGate: idle-telemetry overhead %.2f%% (budget 2%%) — %s.\n"
-      "Attached-profiler overhead: %.2f%% (reported, not gated — the\n"
+      "\nAttached-profiler overhead: %.2f%% (reported, not gated — the\n"
       "profiler is an explicit opt-in; detached, its cost is the same\n"
-      "null check the gate above already covers).\n"
+      "null check the idle gate below already covers).\n"
       "Note: 'detached' is byte-for-byte the configuration every caller\n"
       "gets unless it opts into telemetry; its only added cost over the\n"
       "pre-observability simulator is one predictable null check per slot\n"
-      "and per drop/inject event site.\n",
-      idle_overhead, idle_overhead <= 2.0 ? "PASS" : "FAIL",
+      "and per drop/inject event site.\n\n",
       profiled_overhead);
 
-  if (!json_path.empty()) {
-    const std::string doc = format(
-        "{\"bench\": \"bench_obs_overhead\", \"nodes\": %d, "
-        "\"slots\": %lld, \"reps\": %d, \"metrics\": "
-        "{\"detached_ns_per_slot\": %.1f, \"idle_ns_per_slot\": %.1f, "
-        "\"sampled_ns_per_slot\": %.1f, \"traced_ns_per_slot\": %.1f, "
-        "\"profiled_ns_per_slot\": %.1f, \"idle_overhead_pct\": %.2f, "
-        "\"profiled_overhead_pct\": %.2f}}\n",
-        kNodes, static_cast<long long>(g_slots), g_reps, detached, idle,
-        sampled, traced, profiled, idle_overhead, profiled_overhead);
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return idle_overhead <= 2.0 ? 0 : 1;
+  report.config("nodes", kNodes);
+  report.config("slots", g_slots);
+  report.config("reps", g_reps);
+  report.metric("detached_ns_per_slot", detached, 1);
+  report.metric("idle_ns_per_slot", idle, 1);
+  report.metric("sampled_ns_per_slot", sampled, 1);
+  report.metric("traced_ns_per_slot", traced, 1);
+  report.metric("profiled_ns_per_slot", profiled, 1);
+  report.metric("idle_overhead_pct", idle_overhead, 2);
+  report.metric("profiled_overhead_pct", profiled_overhead, 2);
+  report.gate("idle-telemetry overhead", idle_overhead <= 2.0,
+              format("%.2f%% (budget 2%%)", idle_overhead));
+  return report.finish();
 }

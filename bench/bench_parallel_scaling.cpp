@@ -25,8 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_args.h"
-#include "obs/export.h"
+#include "bench_report.h"
 #include "scenario/scenario_runner.h"
 #include "sim/parallel.h"
 #include "sim/saturation.h"
@@ -47,7 +46,7 @@ struct Row {
 
 int main(int argc, char** argv) {
   bench::ArgParser args(argc, argv);
-  const std::string json_path = args.get_string("--json", "");
+  bench::BenchReport report("bench_parallel_scaling", args);
   const std::vector<int> thread_counts =
       args.get_int_list("--threads", {1, 2, 4, 8}, 1);
   const Slot slots = args.get_long("--slots", 20000, 1);
@@ -140,49 +139,32 @@ int main(int argc, char** argv) {
                           static_cast<unsigned long long>(row.delivered))});
   }
   table.print();
-  std::printf("\nequivalence across thread counts: %s\n",
-              equivalent ? "OK (identical delivered counts)" : "FAILED");
+  std::printf("\n");
 
-  if (!json_path.empty()) {
-    // Flat numeric gates for ci/check_bench.py: deterministic delivered
-    // count (near-exact) plus timing/speedup (loose ratio bounds).
-    std::string metrics =
-        "{\"equivalent\": " + std::string(equivalent ? "1" : "0") +
-        ", \"delivered_cells\": " +
-        format("%llu", static_cast<unsigned long long>(
-                           rows.front().delivered));
-    for (const Row& row : rows) {
-      metrics += ", \"slots_per_sec_t" + format("%d", row.threads) +
-                 "\": " + format("%.1f", row.slots_per_sec);
-      if (row.threads != 1)
-        metrics += ", \"speedup_t" + format("%d", row.threads) +
-                   "\": " + format("%.3f", row.speedup);
-    }
-    metrics += "}";
-    const std::string doc =
-        "{\"bench\": \"bench_parallel_scaling\", \"nodes\": " +
-        format("%d", nodes) + ", \"cliques\": " + format("%d", cliques) +
-        ", \"slots\": " + format("%lld", static_cast<long long>(slots)) +
-        ", \"equivalent\": " + (equivalent ? "true" : "false") +
-        ", \"metrics\": " + metrics +
-        ", \"rows\": " + table.to_json() + "}\n";
-    if (!write_text_file(json_path, doc)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+  // Deterministic delivered count (near-exact in check_bench.py) plus
+  // timing/speedup (loose ratio bounds).
+  report.config("nodes", nodes);
+  report.config("cliques", cliques);
+  report.config("slots", slots);
+  report.metric("equivalent", equivalent);
+  report.metric("delivered_cells", rows.front().delivered);
+  for (const Row& row : rows) {
+    report.metric(format("slots_per_sec_t%d", row.threads), row.slots_per_sec,
+                  1);
+    if (row.threads != 1)
+      report.metric(format("speedup_t%d", row.threads), row.speedup, 3);
   }
+  report.rows(table);
 
-  if (!equivalent) return 1;
+  report.gate("equivalence across thread counts", equivalent,
+              "identical delivered counts");
   if (min_speedup > 0.0) {
-    const Row* gate = nullptr;
+    const Row* gate = &rows.back();
     for (const Row& row : rows)
       if (row.threads == gate_threads) gate = &row;
-    if (gate == nullptr) gate = &rows.back();
-    std::printf("gate: %.2fx at %d threads (floor %.2fx) — %s\n",
-                gate->speedup, gate->threads, min_speedup,
-                gate->speedup >= min_speedup ? "PASS" : "FAIL");
-    if (gate->speedup < min_speedup) return 1;
+    report.gate("speedup gate", gate->speedup >= min_speedup,
+                format("%.2fx at %d threads (floor %.2fx)", gate->speedup,
+                       gate->threads, min_speedup));
   }
-  return 0;
+  return report.finish();
 }

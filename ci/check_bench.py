@@ -27,7 +27,10 @@ compare
   for the ratio classes, points for overhead, relative fraction for the
   deterministic class). Scalar config keys outside "metrics"/"rows"
   (bench, nodes, slots, ...) must match exactly — a baseline recorded
-  under a different configuration is a failure, not a comparison.
+  under a different configuration is a failure, not a comparison. The
+  top level is therefore the config echo only: a document whose top-level
+  key repeats a metric name (a measured value echoed as config) is
+  rejected, by compare and by write-baseline.
 
 write-baseline
   Regenerates a committed BENCH_*.json baseline from a bench run's JSON
@@ -124,8 +127,23 @@ def check_metric(name, current, baseline, bound_override):
     return None
 
 
+def echoed_metrics(doc, label):
+    """Errors for top-level keys that repeat a metric name.
+
+    compare checks every top-level scalar for exact equality, so a
+    measured value echoed there fails on run-to-run noise even when its
+    metric passes its tolerance."""
+    metrics = doc.get("metrics")
+    if not isinstance(metrics, dict):
+        return []
+    return [f"{label}: top-level key {key!r} repeats a metric; measured "
+            f"values belong under \"metrics\" only"
+            for key in sorted(set(doc) & set(metrics))]
+
+
 def compare(current_doc, baseline_doc, overrides):
-    errors = []
+    errors = (echoed_metrics(current_doc, "current run") +
+              echoed_metrics(baseline_doc, "baseline"))
     # Config keys must agree: comparing against a baseline recorded at a
     # different scale would pass or fail for the wrong reason.
     for key, base_val in baseline_doc.items():
@@ -192,6 +210,9 @@ def write_baseline(run_doc, baseline_path, old_doc=None):
     for name, value in sorted(metrics.items()):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return [f"metric {name!r} is not a number: {value!r}"]
+    echoes = echoed_metrics(run_doc, "run")
+    if echoes:
+        return echoes
     if old_doc is not None:
         old_metrics = old_doc.get("metrics", {})
         for name in sorted(set(old_metrics) | set(metrics)):
@@ -368,6 +389,23 @@ def cmd_self_test():
             failures += 1
         print(f"[{status}] {name}")
 
+    # A measured value lives only under "metrics": RSS noise within the
+    # 1.25x bound passes, and a document that also echoes it at the top
+    # level is rejected by compare and write-baseline alike.
+    if compare(clone(peak_rss_mb=980.0), baseline, {}):
+        failures += 1
+        print("[SELF-TEST FAILURE] peak_rss_mb within 1.25x must pass")
+    else:
+        print("[ok] peak_rss_mb within 1.25x passes")
+    echoed = clone()
+    echoed["peak_rss_mb"] = echoed["metrics"]["peak_rss_mb"]
+    if not compare(echoed, baseline, {}) or not compare(baseline, echoed, {}):
+        failures += 1
+        print("[SELF-TEST FAILURE] a metric echoed at the top level must "
+              "fail compare")
+    else:
+        print("[ok] a metric echoed at the top level fails compare")
+
     mismatched = clone()
     mismatched["nodes"] = 1024
     if not compare(mismatched, baseline, {}):
@@ -429,6 +467,13 @@ def cmd_self_test():
             print("[SELF-TEST FAILURE] metrics-free run must be rejected")
         else:
             print("[ok] write-baseline rejects a metrics-free run")
+        if not write_baseline(echoed, os.path.join(tmp, "echoed.json")):
+            failures += 1
+            print("[SELF-TEST FAILURE] write-baseline must reject a metric "
+                  "echoed at the top level")
+        else:
+            print("[ok] write-baseline rejects a metric echoed at the top "
+                  "level")
 
     if failures:
         return fail(f"{failures} self-test case(s) wrong")

@@ -7,8 +7,6 @@
 //   designs    list the designs registered in the DesignRegistry
 //   simulate   run one scenario (`sorn_tool simulate --help` lists the
 //              scenario flags)
-//   chaos      seeded fault-soup runs with invariants and a thread-count
-//              byte-equivalence cross-check
 //   compare    run several designs on the same fabric and traffic
 //
 // Run without arguments for usage.
@@ -29,7 +27,6 @@
 #include "obs/export.h"
 #include "obs/telemetry.h"
 #include "obs/timeseries.h"
-#include "scenario/chaos.h"
 #include "scenario/scenario_runner.h"
 #include "topo/schedule_builder.h"
 #include "traffic/matrix_io.h"
@@ -424,46 +421,6 @@ int cmd_compare(ArgParser& args) {
   return 0;
 }
 
-int cmd_chaos(ArgParser& args) {
-  const std::uint64_t first_seed =
-      static_cast<std::uint64_t>(args.get_long("--seed", 1, 0));
-  const long runs = args.get_long("--runs", 1, 1);
-  ChaosKnobs knobs;
-  knobs.nodes = static_cast<NodeId>(args.get_long("--nodes", 32, 4));
-  knobs.slots = args.get_long("--slots", 3000, 500);
-  knobs.compare_threads =
-      static_cast<int>(args.get_long("--compare-threads", 3, 0));
-  args.finish();
-
-  TablePrinter table({"seed", "faults", "gray drops", "ctrl outages",
-                      "safe mode", "replans", "slots checked", "verdict"});
-  for (long i = 0; i < runs; ++i) {
-    const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
-    const ChaosResult r = run_chaos(seed, knobs);
-    table.add_row(
-        {format("%llu", static_cast<unsigned long long>(seed)),
-         format("%llu", static_cast<unsigned long long>(r.faults_applied)),
-         format("%llu", static_cast<unsigned long long>(r.gray_drops)),
-         format("%llu",
-                static_cast<unsigned long long>(r.controller_outages)),
-         format("%llu",
-                static_cast<unsigned long long>(r.safe_mode_activations)),
-         format("%llu", static_cast<unsigned long long>(r.replans)),
-         format("%llu", static_cast<unsigned long long>(r.invariant_slots)),
-         r.ok ? "pass" : "FAIL"});
-    if (!r.ok) {
-      table.print();
-      std::fprintf(stderr, "\nchaos seed %llu FAILED:\n%s\n\nreplay: %s\n",
-                   static_cast<unsigned long long>(seed), r.error.c_str(),
-                   r.replay.c_str());
-      return 1;
-    }
-  }
-  table.print();
-  std::printf("%ld/%ld chaos seeds passed.\n", runs, runs);
-  return 0;
-}
-
 int usage() {
   std::fprintf(
       stderr,
@@ -475,12 +432,6 @@ int usage() {
       "  sorn_tool simulate [--scenario file.json] "
       "[--save-scenario out.json]\n"
       "                     [scenario flags: sorn_tool simulate --help]\n"
-      "  sorn_tool chaos [--seed 1] [--runs 1] [--nodes 32] [--slots 3000]\n"
-      "                  [--compare-threads 3]\n"
-      "      Seeded randomized fault-soup campaign: gray failures,\n"
-      "      controller outages, safe mode, invariants every slot, and a\n"
-      "      1-vs-N-thread byte-equivalence cross-check per seed. Prints\n"
-      "      a one-line replay recipe on failure.\n"
       "  sorn_tool compare [--designs sorn,vlb,...] [--nodes 64]\n"
       "                    [--cliques 8] [--locality 0.56] [--threads N]\n");
   return 2;
@@ -497,7 +448,6 @@ int main(int argc, char** argv) {
   if (cmd == "schedule") return cmd_schedule(args);
   if (cmd == "designs") return cmd_designs(args);
   if (cmd == "simulate") return cmd_simulate(args);
-  if (cmd == "chaos") return cmd_chaos(args);
   if (cmd == "compare") return cmd_compare(args);
   return usage();
 }

@@ -164,10 +164,11 @@ ChaosResult run_chaos(std::uint64_t seed, const ChaosKnobs& knobs) {
   ChaosResult result;
   result.seed = seed;
   result.replay = format(
-      "sorn_tool chaos --seed %llu --nodes %lld --slots %lld",
+      "bench_chaos --runs 1 --seed %llu --nodes %lld --slots %lld "
+      "--compare-threads %d",
       static_cast<unsigned long long>(seed),
       static_cast<long long>(knobs.nodes),
-      static_cast<long long>(knobs.slots));
+      static_cast<long long>(knobs.slots), knobs.compare_threads);
 
   ScenarioConfig cfg = make_chaos_config(seed, knobs);
   cfg.threads = 1;

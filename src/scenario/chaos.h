@@ -8,8 +8,8 @@
 // policy, plus retransmission with jitter — runs it with the invariant
 // checker attached, and re-runs it at a different thread count to
 // byte-compare the metrics artifact. A seed therefore indicts itself: any
-// failure reproduces from `sorn_tool chaos --seed S` alone, and the
-// result carries that one-line replay recipe.
+// failure reproduces from `bench_chaos --runs 1 --seed S ...` alone, and
+// the result carries that one-line replay recipe.
 //
 // Everything is a pure function of the seed and knobs — a failing seed in
 // CI replays identically on a laptop.

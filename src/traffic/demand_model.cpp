@@ -18,19 +18,6 @@ const char* demand_backend_name(DemandBackend backend) {
   return "dense";
 }
 
-bool parse_demand_backend(std::string_view name, DemandBackend* out) {
-  if (name == "dense") {
-    *out = DemandBackend::kDense;
-  } else if (name == "sparse") {
-    *out = DemandBackend::kSparse;
-  } else if (name == "procedural") {
-    *out = DemandBackend::kProcedural;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void DemandModel::for_each_nonzero(const NonzeroVisitor& visit) const {
   const NodeId n = node_count();
   for (NodeId i = 0; i < n; ++i) {

@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,7 +46,6 @@ enum class DemandBackend {
 };
 
 const char* demand_backend_name(DemandBackend backend);
-bool parse_demand_backend(std::string_view name, DemandBackend* out);
 
 class DemandModel {
  public:

@@ -50,32 +50,6 @@ std::string TablePrinter::to_csv() const {
   return out;
 }
 
-std::string TablePrinter::to_json() const {
-  // Local escaping keeps sorn_util free of a dependency on sorn_obs.
-  auto append_string = [](std::string& out, const std::string& s) {
-    out += '"';
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-  };
-  std::string out = "[";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out += r == 0 ? "\n" : ",\n";
-    out += "  {";
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      if (c != 0) out += ", ";
-      append_string(out, headers_[c]);
-      out += ": ";
-      append_string(out, rows_[r][c]);
-    }
-    out += '}';
-  }
-  out += "\n]\n";
-  return out;
-}
-
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

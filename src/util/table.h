@@ -23,10 +23,10 @@ class TablePrinter {
   // Render as CSV (no alignment) for machine consumption.
   std::string to_csv() const;
 
-  // Render as a JSON array of objects, one per row, keyed by header —
-  // cells stay the pre-formatted strings they were added as. Lets bench
-  // tables be exported machine-readably without reformatting.
-  std::string to_json() const;
+  // The cells as added (rows padded to the header count); a bench report
+  // writes them out as JSON rows keyed by header.
+  const std::vector<std::string>& headers() const { return headers_; }
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:
   std::vector<std::string> headers_;

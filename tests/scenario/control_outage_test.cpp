@@ -143,8 +143,9 @@ TEST(ChaosCampaignTest, SmokeSeedPassesWithReplayRecipe) {
   const ChaosResult r = run_chaos(3, knobs);
   EXPECT_TRUE(r.ok) << r.error << "\nreplay: " << r.replay;
   EXPECT_GT(r.invariant_slots, 1500u);
-  EXPECT_NE(r.replay.find("--seed 3"), std::string::npos);
-  EXPECT_NE(r.replay.find("chaos"), std::string::npos);
+  EXPECT_EQ(r.replay,
+            "bench_chaos --runs 1 --seed 3 --nodes 16 --slots 1500 "
+            "--compare-threads 2");
 }
 
 TEST(ChaosCampaignTest, ConfigGenerationIsPureInTheSeed) {

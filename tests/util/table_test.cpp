@@ -12,25 +12,6 @@ TEST(TableTest, CsvRoundTrip) {
   EXPECT_EQ(t.to_csv(), "a,b\n1,2\nx,\n");
 }
 
-TEST(TableTest, JsonRowsKeyedByHeader) {
-  TablePrinter t({"x", "r"});
-  t.add_row({"0.5", "0.4"});
-  t.add_row({"1.0", "0.5"});
-  EXPECT_EQ(t.to_json(),
-            "[\n"
-            "  {\"x\": \"0.5\", \"r\": \"0.4\"},\n"
-            "  {\"x\": \"1.0\", \"r\": \"0.5\"}\n"
-            "]\n");
-}
-
-TEST(TableTest, JsonEscapesQuotesAndHandlesEmptyTable) {
-  TablePrinter t({"a\"b"});
-  t.add_row({"x\\y"});
-  EXPECT_EQ(t.to_json(), "[\n  {\"a\\\"b\": \"x\\\\y\"}\n]\n");
-  TablePrinter empty({"h"});
-  EXPECT_EQ(empty.to_json(), "[\n]\n");
-}
-
 TEST(FormatTest, FormatsLikePrintf) {
   EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(format("%.2f", 3.14159), "3.14");

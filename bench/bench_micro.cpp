@@ -1,6 +1,6 @@
 // Engine microbenchmarks (google-benchmark): schedule construction and
-// lookup, route selection, VOQ index operations, and simulator slot
-// throughput.
+// lookup, route selection, VOQ index operations, simulator slot
+// throughput, and the control plane's replan (clustering and planning).
 //
 //   build/bench/bench_micro --benchmark_min_time=0.05
 //       --benchmark_out=bench_micro.json --benchmark_out_format=json
@@ -9,15 +9,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "control/clustering.h"
+#include "control/optimizer.h"
 #include "core/sorn.h"
 #include "routing/vlb.h"
 #include "sim/saturation.h"
 #include "sim/voq.h"
 #include "topo/schedule_builder.h"
 #include "traffic/patterns.h"
+#include "traffic/traffic_matrix.h"
 #include "util/rng.h"
 
 namespace {
@@ -196,6 +200,50 @@ void BM_NetworkSlot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_NetworkSlot)->Arg(64)->Arg(128)->Arg(256);
+
+// Clustering alone, on a prebuilt affinity: N = 1024 nodes whose demand is
+// local under an interleaved grouping (node i in group i % 32, x = 0.6),
+// which contiguous seeding cannot read off.
+void BM_Cluster(benchmark::State& state) {
+  constexpr NodeId kNodes = 1024;
+  const auto nc = static_cast<CliqueId>(state.range(0));
+  std::vector<CliqueId> hidden(static_cast<std::size_t>(kNodes));
+  for (NodeId i = 0; i < kNodes; ++i)
+    hidden[static_cast<std::size_t>(i)] = i % 32;
+  const TrafficMatrix tm =
+      patterns::locality_mix(CliqueAssignment(hidden), 0.6);
+  const AffinityMatrix affinity(tm);
+  const CliqueClusterer clusterer;
+  for (auto _ : state) {
+    const CliqueAssignment a = clusterer.cluster(affinity, nc);
+    benchmark::DoNotOptimize(a.clique_of(0));
+  }
+}
+BENCHMARK(BM_Cluster)
+    ->Arg(4)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(3);
+
+// One full replan's optimizer half: the affinity build plus clustering and
+// the q choice for every default candidate Nc, on the procedural locality
+// demand the scenario workloads use (N / 16 contiguous cliques, x = 0.6).
+void BM_SornPlan(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const std::unique_ptr<DemandModel> demand = patterns::make_locality_mix(
+      CliqueAssignment::contiguous(n, n / 16), 0.6,
+      DemandBackend::kProcedural);
+  const SornOptimizer optimizer;
+  for (auto _ : state) {
+    const SornPlan plan = optimizer.plan(*demand);
+    benchmark::DoNotOptimize(plan.locality_x);
+  }
+}
+BENCHMARK(BM_SornPlan)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(2);
 
 }  // namespace
 

@@ -19,13 +19,22 @@
 //                accountant's cadence. Measured and reported, not gated:
 //                attaching the profiler is an explicit opt-in.
 //
-// Saturated 64-node SORN fabric; best of `kReps` repetitions to shed
-// scheduler noise. Pump cost is part of every mode equally. With --json,
-// the per-mode ns/slot and overhead percentages are written
-// machine-readably under a "metrics" key.
+// Saturated 64-node SORN fabric. Each repetition builds one simulator per
+// mode and advances them round-robin, 500 timed slots at a time (the
+// starting mode rotates per turn), so host-load drift lands on every mode
+// of a rep alike. A mode's overhead is the median over reps of its paired
+// ratio to the same rep's detached run, and its ns/slot the median over
+// reps. Pump cost is part of every mode equally. With --json, the
+// per-mode ns/slot and overhead percentages are written machine-readably
+// under a "metrics" key.
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_report.h"
 #include "core/sorn.h"
@@ -33,6 +42,7 @@
 #include "obs/telemetry.h"
 #include "sim/saturation.h"
 #include "traffic/patterns.h"
+#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
@@ -44,47 +54,106 @@ Slot g_warmup_slots = 2000;
 Slot g_slots = 20000;
 int g_reps = 5;
 
-double run_once(Telemetry* telemetry, Profiler* profiler) {
-  SornConfig cfg;
-  cfg.nodes = kNodes;
-  cfg.cliques = 8;
-  cfg.locality_x = 0.6;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
-  if (telemetry != nullptr) sim.set_telemetry(telemetry);
-  if (profiler != nullptr) sim.set_profiler(profiler);
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.6);
-  SaturationSource source(&tm, SaturationConfig{});
-  for (Slot s = 0; s < g_warmup_slots; ++s) {
-    source.pump(sim);
-    sim.step();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (Slot s = 0; s < g_slots; ++s) {
-    source.pump(sim);
-    sim.step();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-  return ns / static_cast<double>(g_slots);
-}
-
-double best_of(Telemetry* (*make)(), void (*destroy)(Telemetry*),
-               bool profiled = false) {
-  double best = 1e18;
-  for (int r = 0; r < g_reps; ++r) {
-    Telemetry* t = make();
-    Profiler profiler;  // fresh per rep so counters never carry over
-    const double ns = run_once(t, profiled ? &profiler : nullptr);
-    destroy(t);
-    if (ns < best) best = ns;
-  }
-  return best;
-}
-
 NullTraceSink null_sink;
+
+struct Mode {
+  const char* label;
+  std::unique_ptr<Telemetry> (*make)();
+  bool profiled;
+};
+
+std::unique_ptr<Telemetry> no_telemetry() { return nullptr; }
+
+const Mode kModes[] = {
+    {"detached (seed path)", no_telemetry, false},
+    {"idle (attached, no sink)",
+     [] { return std::make_unique<Telemetry>(); }, false},
+    {"sampled (every 100 slots)",
+     [] {
+       return std::make_unique<Telemetry>(
+           TelemetryOptions{.sample_every = 100});
+     },
+     false},
+    {"traced (null sink + sampling)",
+     [] {
+       auto t = std::make_unique<Telemetry>(
+           TelemetryOptions{.sample_every = 100});
+       t->set_trace_sink(&null_sink);
+       return t;
+     },
+     false},
+    {"profiled (phase timers + gauges)", no_telemetry, true},
+};
+constexpr std::size_t kModeCount = std::size(kModes);
+// Indices into kModes, in its order.
+enum : std::size_t { kDetached, kIdle, kSampled, kTraced, kProfiled };
+
+constexpr Slot kTurnSlots = 500;
+
+// One mode's simulator, warmed up on construction.
+struct ModeRun {
+  std::unique_ptr<Telemetry> telemetry;
+  Profiler profiler;
+  SornNetwork net;
+  SlottedNetwork sim;
+  TrafficMatrix tm;
+  SaturationSource source;
+
+  explicit ModeRun(const Mode& mode)
+      : telemetry(mode.make()),
+        net(SornNetwork::build(config())),
+        sim(net.make_network()),
+        tm(patterns::locality_mix(net.cliques(), 0.6)),
+        source(&tm, SaturationConfig{}) {
+    if (telemetry != nullptr) sim.set_telemetry(telemetry.get());
+    if (mode.profiled) sim.set_profiler(&profiler);
+    advance(g_warmup_slots);
+  }
+
+  static SornConfig config() {
+    SornConfig cfg;
+    cfg.nodes = kNodes;
+    cfg.cliques = 8;
+    cfg.locality_x = 0.6;
+    cfg.propagation_per_hop = 0;
+    return cfg;
+  }
+
+  void advance(Slot slots) {
+    for (Slot s = 0; s < slots; ++s) {
+      source.pump(sim);
+      sim.step();
+    }
+  }
+
+  // Host ns spent advancing `slots` slots.
+  double timed_advance(Slot slots) {
+    const auto t0 = std::chrono::steady_clock::now();
+    advance(slots);
+    const auto t1 = std::chrono::steady_clock::now();
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+  }
+};
+
+// One rep: every mode's ns/slot over g_slots timed slots, interleaved.
+std::vector<double> run_rep() {
+  std::vector<std::unique_ptr<ModeRun>> runs;
+  for (const Mode& mode : kModes)
+    runs.push_back(std::make_unique<ModeRun>(mode));
+  std::vector<double> ns(kModeCount, 0.0);
+  std::size_t turn = 0;
+  for (Slot done = 0; done < g_slots; done += kTurnSlots, ++turn) {
+    const Slot slots = std::min(kTurnSlots, g_slots - done);
+    for (std::size_t k = 0; k < kModeCount; ++k) {
+      const std::size_t m = (turn + k) % kModeCount;
+      ns[m] += runs[m]->timed_advance(slots);
+    }
+  }
+  for (double& v : ns) v /= static_cast<double>(g_slots);
+  return ns;
+}
 
 }  // namespace
 
@@ -97,44 +166,33 @@ int main(int argc, char** argv) {
   args.finish();
   std::printf(
       "Telemetry overhead, %d-node saturated SORN fabric, %lld slots/run, "
-      "best of %d:\n\n",
+      "%d reps of all modes, medians:\n\n",
       kNodes, static_cast<long long>(g_slots), g_reps);
 
-  const double detached = best_of(
-      [] { return static_cast<Telemetry*>(nullptr); }, [](Telemetry*) {});
-  const double idle = best_of([] { return new Telemetry(); },
-                              [](Telemetry* t) { delete t; });
-  const double sampled = best_of(
-      [] { return new Telemetry(TelemetryOptions{.sample_every = 100}); },
-      [](Telemetry* t) { delete t; });
-  const double traced = best_of(
-      [] {
-        auto* t = new Telemetry(TelemetryOptions{.sample_every = 100});
-        t->set_trace_sink(&null_sink);
-        return t;
-      },
-      [](Telemetry* t) { delete t; });
-  const double profiled =
-      best_of([] { return static_cast<Telemetry*>(nullptr); },
-              [](Telemetry*) {}, /*profiled=*/true);
+  // ns[m]: mode m's ns/slot per rep; ratio[m]: its ns/slot over the same
+  // rep's detached run.
+  Percentiles ns[kModeCount];
+  Percentiles ratio[kModeCount];
+  for (int r = 0; r < g_reps; ++r) {
+    const std::vector<double> rep_ns = run_rep();
+    for (std::size_t m = 0; m < kModeCount; ++m) {
+      ns[m].add(rep_ns[m]);
+      ratio[m].add(rep_ns[m] / rep_ns[kDetached]);
+    }
+  }
+  auto overhead_pct = [&](std::size_t m) {
+    return (ratio[m].median() - 1.0) * 100.0;
+  };
 
   TablePrinter table({"mode", "ns/slot", "overhead vs detached"});
-  auto pct = [&](double v) {
-    return format("%+.2f%%", (v / detached - 1.0) * 100.0);
-  };
-  table.add_row({"detached (seed path)", format("%.1f", detached), "-"});
-  table.add_row({"idle (attached, no sink)", format("%.1f", idle), pct(idle)});
-  table.add_row(
-      {"sampled (every 100 slots)", format("%.1f", sampled), pct(sampled)});
-  table.add_row(
-      {"traced (null sink + sampling)", format("%.1f", traced), pct(traced)});
-  table.add_row(
-      {"profiled (phase timers + gauges)", format("%.1f", profiled),
-       pct(profiled)});
+  for (std::size_t m = 0; m < kModeCount; ++m)
+    table.add_row({kModes[m].label, format("%.1f", ns[m].median()),
+                   m == kDetached ? std::string("-")
+                                  : format("%+.2f%%", overhead_pct(m))});
   table.print();
 
-  const double idle_overhead = (idle / detached - 1.0) * 100.0;
-  const double profiled_overhead = (profiled / detached - 1.0) * 100.0;
+  const double idle_overhead = overhead_pct(kIdle);
+  const double profiled_overhead = overhead_pct(kProfiled);
   std::printf(
       "\nAttached-profiler overhead: %.2f%% (reported, not gated — the\n"
       "profiler is an explicit opt-in; detached, its cost is the same\n"
@@ -148,11 +206,11 @@ int main(int argc, char** argv) {
   report.config("nodes", kNodes);
   report.config("slots", g_slots);
   report.config("reps", g_reps);
-  report.metric("detached_ns_per_slot", detached, 1);
-  report.metric("idle_ns_per_slot", idle, 1);
-  report.metric("sampled_ns_per_slot", sampled, 1);
-  report.metric("traced_ns_per_slot", traced, 1);
-  report.metric("profiled_ns_per_slot", profiled, 1);
+  report.metric("detached_ns_per_slot", ns[kDetached].median(), 1);
+  report.metric("idle_ns_per_slot", ns[kIdle].median(), 1);
+  report.metric("sampled_ns_per_slot", ns[kSampled].median(), 1);
+  report.metric("traced_ns_per_slot", ns[kTraced].median(), 1);
+  report.metric("profiled_ns_per_slot", ns[kProfiled].median(), 1);
   report.metric("idle_overhead_pct", idle_overhead, 2);
   report.metric("profiled_overhead_pct", profiled_overhead, 2);
   report.gate("idle-telemetry overhead", idle_overhead <= 2.0,

@@ -6,26 +6,19 @@
 #include "util/assert.h"
 
 namespace sorn {
-namespace {
 
-// Symmetric affinity: demand in both directions. Built from the nonzeros
-// (IEEE addition is commutative and adding to a 0.0 cell is exact, so the
-// result is bit-identical to at(i, j) + at(j, i) per cell).
-std::vector<double> affinity_matrix(const DemandModel& tm) {
-  const NodeId n = tm.node_count();
-  std::vector<double> a(static_cast<std::size_t>(n) *
-                            static_cast<std::size_t>(n),
-                        0.0);
-  tm.for_each_nonzero([&a, n](NodeId i, NodeId j, double d) {
-    a[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-      static_cast<std::size_t>(j)] += d;
-    a[static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
-      static_cast<std::size_t>(i)] += d;
+// IEEE addition is commutative and adding to a 0.0 cell is exact, so each
+// cell is bit-identical to at(i, j) + at(j, i).
+AffinityMatrix::AffinityMatrix(const DemandModel& tm)
+    : n_(tm.node_count()),
+      cells_(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
+             0.0) {
+  const auto n = static_cast<std::size_t>(n_);
+  tm.for_each_nonzero([this, n](NodeId i, NodeId j, double d) {
+    cells_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] += d;
+    cells_[static_cast<std::size_t>(j) * n + static_cast<std::size_t>(i)] += d;
   });
-  return a;
 }
-
-}  // namespace
 
 CliqueClusterer::CliqueClusterer(Options options) : options_(options) {}
 
@@ -36,52 +29,60 @@ double CliqueClusterer::objective(const DemandModel& tm,
 
 CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
                                           CliqueId nc) const {
-  const NodeId n = tm.node_count();
+  return cluster(AffinityMatrix(tm), nc);
+}
+
+// Every sum below is folded in the order of the plain O(N^2 * size)-per-
+// pass formulation (row sums j-ascending, a node's affinity to a clique in
+// member order starting from 0.0), so each comparison sees the same bits
+// and every decision, tie-breaks included, is unchanged.
+CliqueAssignment CliqueClusterer::cluster(const AffinityMatrix& affinity,
+                                          CliqueId nc) const {
+  const NodeId n = affinity.node_count();
   SORN_ASSERT(nc >= 1 && n % nc == 0,
               "node count must divide into nc equal cliques");
   const NodeId size = n / nc;
-  const std::vector<double> aff = affinity_matrix(tm);
-  auto aff_at = [&](NodeId i, NodeId j) {
-    return aff[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-               static_cast<std::size_t>(j)];
-  };
+  const auto un = static_cast<std::size_t>(n);
 
-  std::vector<CliqueId> assign(static_cast<std::size_t>(n), -1);
-  std::vector<bool> taken(static_cast<std::size_t>(n), false);
+  // Each node's total affinity, folded once: seeds are picked from it.
+  std::vector<double> row_sum(un);
+  for (NodeId i = 0; i < n; ++i) {
+    const double* row = affinity.row(i);
+    double w = 0.0;
+    for (NodeId j = 0; j < n; ++j) w += row[j];
+    row_sum[static_cast<std::size_t>(i)] = w;
+  }
 
   // Greedy growth: seed each clique with the heaviest unassigned node,
   // then repeatedly add the unassigned node with the highest affinity to
-  // the clique's current members.
+  // the clique's current members. gain[i] is that affinity, grown by one
+  // member's row per add (row(m)[i] is aff(i, m): the matrix is symmetric).
+  std::vector<CliqueId> assign(un, -1);
+  std::vector<double> gain(un);
   for (CliqueId c = 0; c < nc; ++c) {
-    NodeId seed = kNoNode;
+    NodeId member = kNoNode;
     double best_weight = -1.0;
     for (NodeId i = 0; i < n; ++i) {
-      if (taken[static_cast<std::size_t>(i)]) continue;
-      double w = 0.0;
-      for (NodeId j = 0; j < n; ++j) w += aff_at(i, j);
-      if (w > best_weight) {
-        best_weight = w;
-        seed = i;
+      if (assign[static_cast<std::size_t>(i)] >= 0) continue;
+      if (row_sum[static_cast<std::size_t>(i)] > best_weight) {
+        best_weight = row_sum[static_cast<std::size_t>(i)];
+        member = i;
       }
     }
-    std::vector<NodeId> members{seed};
-    taken[static_cast<std::size_t>(seed)] = true;
-    assign[static_cast<std::size_t>(seed)] = c;
-    while (static_cast<NodeId>(members.size()) < size) {
-      NodeId best = kNoNode;
+    std::fill(gain.begin(), gain.end(), 0.0);
+    for (NodeId added = 1;; ++added) {
+      assign[static_cast<std::size_t>(member)] = c;
+      if (added == size) break;
+      const double* row = affinity.row(member);
+      for (std::size_t i = 0; i < un; ++i) gain[i] += row[i];
       double best_gain = -1.0;
       for (NodeId i = 0; i < n; ++i) {
-        if (taken[static_cast<std::size_t>(i)]) continue;
-        double gain = 0.0;
-        for (const NodeId m : members) gain += aff_at(i, m);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = i;
+        if (assign[static_cast<std::size_t>(i)] >= 0) continue;
+        if (gain[static_cast<std::size_t>(i)] > best_gain) {
+          best_gain = gain[static_cast<std::size_t>(i)];
+          member = i;
         }
       }
-      members.push_back(best);
-      taken[static_cast<std::size_t>(best)] = true;
-      assign[static_cast<std::size_t>(best)] = c;
     }
   }
 
@@ -93,22 +94,36 @@ CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
   for (NodeId i = 0; i < n; ++i)
     members[static_cast<std::size_t>(assign[static_cast<std::size_t>(i)])]
         .push_back(i);
-  auto clique_affinity = [&](NodeId i, CliqueId c) {
-    double w = 0.0;
-    for (const NodeId m : members[static_cast<std::size_t>(c)])
-      if (m != i) w += aff_at(i, m);
-    return w;
+  // table[c * n + k]: k's affinity to clique c's members other than k,
+  // summed in members[c] order. A swap changes two cliques' member lists,
+  // so it refolds just those two columns.
+  std::vector<double> table(static_cast<std::size_t>(nc) * un);
+  auto fold_column = [&](CliqueId c) {
+    double* col = table.data() + static_cast<std::size_t>(c) * un;
+    std::fill(col, col + un, 0.0);
+    for (const NodeId m : members[static_cast<std::size_t>(c)]) {
+      const double* row = affinity.row(m);
+      const auto um = static_cast<std::size_t>(m);
+      for (std::size_t k = 0; k < um; ++k) col[k] += row[k];
+      for (std::size_t k = um + 1; k < un; ++k) col[k] += row[k];
+    }
   };
+  auto at = [&](CliqueId c, NodeId k) {
+    return table[static_cast<std::size_t>(c) * un +
+                 static_cast<std::size_t>(k)];
+  };
+  for (CliqueId c = 0; c < nc; ++c) fold_column(c);
   for (int pass = 0; pass < options_.refine_passes; ++pass) {
     bool improved = false;
     for (NodeId i = 0; i < n; ++i) {
+      const double* row_i = affinity.row(i);
       for (NodeId j = i + 1; j < n; ++j) {
         const CliqueId ci = assign[static_cast<std::size_t>(i)];
         const CliqueId cj = assign[static_cast<std::size_t>(j)];
         if (ci == cj) continue;
-        const double before = clique_affinity(i, ci) + clique_affinity(j, cj);
-        const double after = clique_affinity(i, cj) + clique_affinity(j, ci) -
-                             2.0 * aff_at(i, j);
+        const double before = at(ci, i) + at(cj, j);
+        const double after =
+            at(cj, i) + at(ci, j) - 2.0 * row_i[static_cast<std::size_t>(j)];
         if (after > before + 1e-12) {
           auto& mi = members[static_cast<std::size_t>(ci)];
           auto& mj = members[static_cast<std::size_t>(cj)];
@@ -116,6 +131,8 @@ CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
           *std::find(mj.begin(), mj.end(), j) = i;
           std::swap(assign[static_cast<std::size_t>(i)],
                     assign[static_cast<std::size_t>(j)]);
+          fold_column(ci);
+          fold_column(cj);
           improved = true;
         }
       }

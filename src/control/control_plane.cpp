@@ -64,6 +64,8 @@ bool ControlPlane::on_epoch(const DemandModel& observed, Slot now) {
   }
 
   SornPlan plan = optimizer_.plan(*demand);
+  // Release the masked copy before request_swap builds the new schedule.
+  masked.reset();
   estimator_.set_reference_grouping(plan.cliques);
   last_plan_ = plan;
   has_plan_ = true;

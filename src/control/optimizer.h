@@ -60,6 +60,10 @@ class SornOptimizer {
   SornPlan plan_for_nc(const DemandModel& estimate, CliqueId nc) const;
 
  private:
+  // plan() builds the estimate's affinity once for every candidate.
+  SornPlan plan_for_nc(const DemandModel& estimate,
+                       const AffinityMatrix& affinity, CliqueId nc) const;
+
   Options options_;
   CliqueClusterer clusterer_;
 };

@@ -126,11 +126,8 @@ SparseDemand::SparseDemand(NodeId n, std::vector<NodeId> coo_row,
 }
 
 void SparseDemand::finalize() {
-  const auto nnz = vals_.size();
   row_sums_.assign(static_cast<std::size_t>(n_), 0.0);
   col_sums_.assign(static_cast<std::size_t>(n_), 0.0);
-  pair_cdf_.resize(nnz);
-  row_cdf_.resize(nnz);
   double acc = 0.0;
   for (NodeId i = 0; i < n_; ++i) {
     double row_acc = 0.0;
@@ -138,14 +135,35 @@ void SparseDemand::finalize() {
          m < row_ptr_[static_cast<std::size_t>(i) + 1]; ++m) {
       const double v = vals_[m];
       acc += v;
-      pair_cdf_[m] = acc;
       row_acc += v;
-      row_cdf_[m] = row_acc;
       col_sums_[static_cast<std::size_t>(cols_[m])] += v;
     }
     row_sums_[static_cast<std::size_t>(i)] = row_acc;
   }
-  total_ = nnz > 0 ? pair_cdf_.back() : 0.0;
+  total_ = acc;
+}
+
+void SparseDemand::ensure_pair_cdf() const {
+  if (pair_cdf_.size() == vals_.size()) return;
+  pair_cdf_.resize(vals_.size());
+  double acc = 0.0;
+  for (std::size_t m = 0; m < vals_.size(); ++m) {
+    acc += vals_[m];
+    pair_cdf_[m] = acc;
+  }
+}
+
+void SparseDemand::ensure_row_cdf() const {
+  if (row_cdf_.size() == vals_.size()) return;
+  row_cdf_.resize(vals_.size());
+  for (NodeId i = 0; i < n_; ++i) {
+    double row_acc = 0.0;
+    for (std::size_t m = row_ptr_[static_cast<std::size_t>(i)];
+         m < row_ptr_[static_cast<std::size_t>(i) + 1]; ++m) {
+      row_acc += vals_[m];
+      row_cdf_[m] = row_acc;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- queries
@@ -182,6 +200,7 @@ double SparseDemand::max_node_load() const {
 
 std::pair<NodeId, NodeId> SparseDemand::sample_pair(Rng& rng) const {
   SORN_ASSERT(total_ > 0.0, "cannot sample from an empty matrix");
+  ensure_pair_cdf();
   const double u = rng.next_double() * total_;
   const auto it = std::upper_bound(pair_cdf_.begin(), pair_cdf_.end(), u);
   if (it == pair_cdf_.end()) {
@@ -196,6 +215,7 @@ std::pair<NodeId, NodeId> SparseDemand::sample_pair(Rng& rng) const {
 }
 
 NodeId SparseDemand::sample_dst(NodeId src, Rng& rng) const {
+  ensure_row_cdf();
   const double row_total = row_sums_[static_cast<std::size_t>(src)];
   const double u = rng.next_double() * row_total;
   const auto begin = row_cdf_.begin() +

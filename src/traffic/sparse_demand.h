@@ -1,7 +1,9 @@
 // SparseDemand: CSR demand backend with O(nnz) statistics and sampling.
 //
 // Stores only the nonzero entries, row-major with columns ascending, plus
-// two prefix-sum arrays over the nonzeros:
+// two prefix-sum arrays over the nonzeros, each built on the first draw
+// that needs it (an estimate that is only folded, never sampled, skips
+// both: 16 bytes per nonzero):
 //
 //   pair_cdf_  one continuous fold across the whole matrix (the dense
 //              sample_pair CDF restricted to its increase points), and
@@ -87,9 +89,13 @@ class SparseDemand : public DemandModel {
  private:
   SparseDemand(NodeId n) : n_(n) {}
 
-  // Recompute row/col sums, the two CDFs and the total from row_ptr_,
-  // cols_, vals_ (called once after construction).
+  // Recompute row/col sums and the total from row_ptr_, cols_, vals_
+  // (called once after construction).
   void finalize();
+  // Fill a CDF on first use; both fold exactly as finalize() folds the
+  // total and the row sums.
+  void ensure_pair_cdf() const;
+  void ensure_row_cdf() const;
 
   NodeId n_ = 1;
   std::vector<std::size_t> row_ptr_;  // n_ + 1
@@ -97,8 +103,8 @@ class SparseDemand : public DemandModel {
   std::vector<double> vals_;
   std::vector<double> row_sums_;
   std::vector<double> col_sums_;
-  std::vector<double> pair_cdf_;  // continuous fold, aligned with vals_
-  std::vector<double> row_cdf_;   // per-row folds, aligned with vals_
+  mutable std::vector<double> pair_cdf_;  // continuous fold, aligned with vals_
+  mutable std::vector<double> row_cdf_;   // per-row folds, aligned with vals_
   double total_ = 0.0;
 };
 

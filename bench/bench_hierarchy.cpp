@@ -7,13 +7,14 @@
 // 2 + x2 + 2*x3 vs the flat 3 - x1) but buys intrinsic latency — waits are
 // split across a pod-level and a cluster-level round robin instead of one
 // robin over all pods — and shrinks synchronization domains (Sec. 6).
+//
+// Each sweep point is the registry's `hier` design, saturated with
+// hier-locality traffic through ScenarioRunner.
 #include <cstdio>
 
 #include "analysis/models.h"
-#include "routing/hier_routing.h"
-#include "sim/saturation.h"
-#include "topo/schedule_builder.h"
-#include "traffic/patterns.h"
+#include "scenario/scenario_runner.h"
+#include "topo/hierarchy.h"
 #include "util/table.h"
 
 namespace {
@@ -37,15 +38,25 @@ int main() {
                             {0.3, 0.3}, {0.2, 0.2}};
   for (const auto& [x1, x2] : grid) {
     const auto shares = analysis::hier_optimal_shares(x1, x2);
-    const CircuitSchedule schedule = ScheduleBuilder::sorn_hierarchical(
-        h, {shares.intra, shares.inter, shares.global});
-    const HierSornRouter router(&schedule, &h, LbMode::kRandom);
-    NetworkConfig cfg;
-    cfg.propagation_per_hop = 0;
-    SlottedNetwork net(&schedule, &router, cfg);
-    const TrafficMatrix tm = patterns::hier_locality_mix(h, x1, x2);
-    SaturationSource source(&tm, SaturationConfig{});
-    const double r_sim = source.measure(net, 5000, 8000);
+    ScenarioConfig cfg;
+    cfg.design = "hier";
+    cfg.nodes = kNodes;
+    cfg.clusters = h.cluster_count();
+    cfg.pods_per_cluster = h.pods_per_cluster();
+    cfg.pod_locality_x1 = x1;
+    cfg.cluster_locality_x2 = x2;
+    cfg.traffic = TrafficKind::kHierLocality;
+    cfg.workload = WorkloadKind::kSaturation;
+    cfg.warmup_slots = 5000;
+    cfg.measure_slots = 8000;
+    cfg.threads = 1;
+    std::string error;
+    auto runner = ScenarioRunner::create(cfg, &error);
+    if (runner == nullptr || !runner->run(&error)) {
+      std::fprintf(stderr, "bench_hierarchy: %s\n", error.c_str());
+      return 1;
+    }
+    const double r_sim = runner->saturation_r();
 
     table.add_row(
         {format("%.1f", x1), format("%.1f", x2),

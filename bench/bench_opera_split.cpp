@@ -8,15 +8,13 @@
 // the paper's 4096 nodes and 16 uplinks. SORN's single fabric serves the
 // same mixed workload without the bulk penalty, at the cost of its
 // schedule being oblivious only within the clique structure.
+//
+// The fabric is the registry's `opera` design run through ScenarioRunner;
+// `sorn_tool simulate --design opera` with the same fields replays it.
 #include <cstdio>
 
 #include "analysis/models.h"
-#include "core/sorn.h"
-#include "routing/rotor_routing.h"
-#include "sim/network.h"
-#include "traffic/arrivals.h"
-#include "traffic/flow_size.h"
-#include "traffic/patterns.h"
+#include "scenario/scenario_runner.h"
 #include "util/table.h"
 
 namespace {
@@ -28,14 +26,6 @@ constexpr int kLanes = 4;
 constexpr Slot kDwell = 900;  // 90 us at 100 ns slots
 constexpr std::uint64_t kShortCutoff = 15 * 1000;  // Opera's 15 KB boundary
 
-class BulkRouter : public Router {
- public:
-  Path route(NodeId a, NodeId b, Slot, Rng&) const override {
-    return RotorRouter::route_bulk(a, b);
-  }
-  int max_hops() const override { return 1; }
-};
-
 }  // namespace
 
 int main() {
@@ -44,51 +34,43 @@ int main() {
       "slots = 90 us)\n\n",
       kNodes, kLanes, static_cast<long long>(kDwell));
 
-  const CircuitSchedule rotor =
-      ScheduleBuilder::rotor_random(kNodes, kDwell, /*seed=*/17);
-  const RotorRouter short_router(&rotor, kLanes, 6);
-  const BulkRouter bulk_router;
-  NetworkConfig cfg;
+  ScenarioConfig cfg;
+  cfg.design = "opera";
+  cfg.nodes = kNodes;
   cfg.lanes = kLanes;
-  SlottedNetwork net(&rotor, &short_router, cfg);
-
+  cfg.dwell_slots = kDwell;
+  cfg.schedule_seed = 17;
+  cfg.max_short_hops = 6;
+  cfg.propagation_ns = 500;
+  cfg.threads = 1;
   // Light open-loop mix: data-mining sizes (mostly tiny flows, heavy
-  // tail), classified at Opera's 15 KB boundary.
-  const TrafficMatrix tm = patterns::uniform(kNodes);
-  const FlowSizeDist sizes = FlowSizeDist::pfabric_data_mining();
-  FlowArrivals arrivals(&tm, &sizes, 256.0 * 8.0 / 100e-9, 0.5, Rng(3));
-  FlowId id = 1;
-  std::uint64_t shorts = 0;
-  std::uint64_t bulks = 0;
-  FlowArrival a = arrivals.next();
-  const Picoseconds horizon = 6000 * 1000 * 1000LL;  // 6 ms
-  while (net.now() * cfg.slot_duration < horizon) {
-    const Picoseconds slot_start = net.now() * cfg.slot_duration;
-    while (a.time <= slot_start + cfg.slot_duration && a.time <= horizon) {
-      // Cap bulk sizes so the demo drains in bounded time.
-      const std::uint64_t bytes = std::min<std::uint64_t>(a.bytes, 1 << 20);
-      if (bytes <= kShortCutoff) {
-        net.inject_flow(id++, a.src, a.dst, bytes, 0);
-        ++shorts;
-      } else {
-        net.inject_flow_with(bulk_router, id++, a.src, a.dst, bytes, 1);
-        ++bulks;
-      }
-      a = arrivals.next();
-    }
-    net.step();
+  // tail), classified at Opera's 15 KB boundary; bulk sizes capped so the
+  // demo drains in bounded time.
+  cfg.traffic = TrafficKind::kUniform;
+  cfg.flow_size = FlowSizeKind::kPfabricDataMining;
+  cfg.flow_size_cap = 1 << 20;
+  cfg.load = 0.5;
+  cfg.arrival_seed = 3;
+  cfg.classify = ClassifyKind::kSize;
+  cfg.bulk_cutoff_bytes = kShortCutoff;
+  cfg.slots = 60000;  // 6 ms
+  cfg.drain_slots = 400000;
+  std::string error;
+  auto runner = ScenarioRunner::create(cfg, &error);
+  if (runner == nullptr || !runner->run(&error)) {
+    std::fprintf(stderr, "bench_opera_split: %s\n", error.c_str());
+    return 1;
   }
-  for (Slot s = 0; s < 400000 && net.cells_in_flight() > 0; ++s) net.step();
 
-  const auto& short_fct = net.metrics().fct_ps_class(0);
-  const auto& bulk_fct = net.metrics().fct_ps_class(1);
+  const auto& short_fct = runner->metrics().fct_ps_class(0);
+  const auto& bulk_fct = runner->metrics().fct_ps_class(1);
   TablePrinter table({"class", "flows", "FCT p50 (us)", "FCT p99 (us)"});
   table.add_row({"short (<=15 KB, expander multi-hop)",
-                 format("%llu", static_cast<unsigned long long>(shorts)),
+                 format("%zu", short_fct.count()),
                  format("%.1f", short_fct.percentile(50.0) / 1e6),
                  format("%.1f", short_fct.percentile(99.0) / 1e6)});
   table.add_row({"bulk (direct rotation circuit)",
-                 format("%llu", static_cast<unsigned long long>(bulks)),
+                 format("%zu", bulk_fct.count()),
                  format("%.1f", bulk_fct.percentile(50.0) / 1e6),
                  format("%.1f", bulk_fct.percentile(99.0) / 1e6)});
   table.print();

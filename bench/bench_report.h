@@ -35,6 +35,7 @@
 #include <variant>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/json.h"
 #include "util/args.h"
 #include "util/table.h"
@@ -106,13 +107,7 @@ class BenchReport {
   int finish() const {
     bool ok = !gates_failed_;
     if (!json_path_.empty()) {
-      const std::string doc = json();
-      std::FILE* f = std::fopen(json_path_.c_str(), "w");
-      bool written =
-          f != nullptr && std::fwrite(doc.data(), 1, doc.size(), f) ==
-                              doc.size();
-      if (f != nullptr && std::fclose(f) != 0) written = false;
-      if (written) {
+      if (write_text_file(json_path_, json())) {
         std::printf("wrote %s\n", json_path_.c_str());
       } else {
         std::fprintf(stderr, "cannot write %s\n", json_path_.c_str());

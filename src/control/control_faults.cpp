@@ -85,7 +85,8 @@ const DemandModel& ControlFaultModel::filter(const DemandModel& observed) {
   // historical dense loop skipped rate <= 0 cells without drawing, so
   // visiting only the nonzeros in row-major order consumes the noise RNG
   // identically on every backend.
-  SparseDemand::Builder builder(source->node_count());
+  SparseDemand::Builder builder(source->node_count(),
+                                source->nonzero_count());
   source->for_each_nonzero([this, &builder](NodeId i, NodeId j, double rate) {
     const double factor =
         1.0 + options_.estimate_noise * (2.0 * noise_rng_.next_double() - 1.0);

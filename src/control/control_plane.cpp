@@ -54,7 +54,8 @@ bool ControlPlane::on_epoch(const DemandModel& observed, Slot now) {
     // Rebuild the estimate without the failed nodes' rows/columns. The
     // dense predecessor zeroed them in a full copy; dropping the entries
     // is the same thing (exact zeros are no-ops in every optimizer fold).
-    SparseDemand::Builder builder(demand->node_count());
+    SparseDemand::Builder builder(demand->node_count(),
+                                  demand->nonzero_count());
     demand->for_each_nonzero([&](NodeId i, NodeId j, double d) {
       if (!failures_->is_node_failed(i) && !failures_->is_node_failed(j))
         builder.set(i, j, d);

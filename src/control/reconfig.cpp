@@ -4,6 +4,23 @@
 
 namespace sorn {
 
+SornFabric build_sorn_fabric(CliqueAssignment cliques, Rational q,
+                             const std::vector<double>& inter_weights,
+                             LbMode lb_mode,
+                             const ScheduleBuilder::WeightedOptions& weighted,
+                             Slot max_period) {
+  SornFabric fabric;
+  fabric.cliques = std::make_unique<CliqueAssignment>(std::move(cliques));
+  fabric.schedule = std::make_unique<CircuitSchedule>(
+      inter_weights.empty()
+          ? ScheduleBuilder::sorn(*fabric.cliques, q, max_period)
+          : ScheduleBuilder::sorn_weighted(*fabric.cliques, q, inter_weights,
+                                           weighted, max_period));
+  fabric.router = std::make_unique<SornRouter>(
+      fabric.schedule.get(), fabric.cliques.get(), lb_mode);
+  return fabric;
+}
+
 ReconfigManager::ReconfigManager(Options options) : options_(options) {}
 
 void ReconfigManager::set_failure_view(const FailureView* view) {
@@ -15,20 +32,10 @@ void ReconfigManager::set_failure_view(const FailureView* view) {
 }
 
 void ReconfigManager::request_swap(SornPlan plan, Slot now) {
-  auto gen = std::make_unique<Generation>();
-  gen->cliques = std::make_unique<CliqueAssignment>(std::move(plan.cliques));
-  gen->schedule = std::make_unique<CircuitSchedule>(
-      plan.inter_weights.empty()
-          ? ScheduleBuilder::sorn(*gen->cliques, plan.q, options_.max_period)
-          : ScheduleBuilder::sorn_weighted(*gen->cliques, plan.q,
-                                           plan.inter_weights,
-                                           options_.weighted,
-                                           options_.max_period));
-  gen->router = std::make_unique<SornRouter>(gen->schedule.get(),
-                                             gen->cliques.get(),
-                                             options_.lb_mode);
-  gen->router->set_failure_view(failures_);
-  pending_ = std::move(gen);
+  pending_ = std::make_unique<SornFabric>(build_sorn_fabric(
+      std::move(plan.cliques), plan.q, plan.inter_weights, options_.lb_mode,
+      options_.weighted, options_.max_period));
+  pending_->router->set_failure_view(failures_);
   swap_due_ = now + options_.update_delay_slots + extra_delay_;
   if (tracer_ != nullptr) {
     tracer_->reconfig_staged(now, swap_due_,

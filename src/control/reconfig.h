@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "obs/trace.h"
 #include "control/nic_state.h"
@@ -20,6 +21,24 @@
 #include "topo/schedule_builder.h"
 
 namespace sorn {
+
+// A materialized SORN fabric. Heap-held parts, so the router's pointers
+// into the schedule and cliques survive moves of the fabric.
+struct SornFabric {
+  std::unique_ptr<CliqueAssignment> cliques;
+  std::unique_ptr<CircuitSchedule> schedule;
+  std::unique_ptr<SornRouter> router;
+};
+
+// The one construction of a SORN schedule + router: the uniform inter
+// round robin (ScheduleBuilder::sorn) when inter_weights is empty, else
+// the weighted-inter schedule over that cliques x cliques aggregate.
+// SornNetwork and ReconfigManager both build through it. O(N * period).
+SornFabric build_sorn_fabric(CliqueAssignment cliques, Rational q,
+                             const std::vector<double>& inter_weights,
+                             LbMode lb_mode,
+                             const ScheduleBuilder::WeightedOptions& weighted,
+                             Slot max_period);
 
 class ReconfigManager {
  public:
@@ -77,17 +96,11 @@ class ReconfigManager {
   const CliqueAssignment* cliques() const { return current_.cliques.get(); }
 
  private:
-  struct Generation {
-    std::unique_ptr<CliqueAssignment> cliques;
-    std::unique_ptr<CircuitSchedule> schedule;
-    std::unique_ptr<Router> router;
-  };
-
   Options options_;
   const FailureView* failures_ = nullptr;
-  Generation current_;
-  Generation previous_;  // kept alive for in-flight traffic
-  std::unique_ptr<Generation> pending_;
+  SornFabric current_;
+  SornFabric previous_;  // kept alive for in-flight traffic
+  std::unique_ptr<SornFabric> pending_;
   Slot swap_due_ = 0;
   Slot extra_delay_ = 0;
   std::uint64_t swaps_applied_ = 0;

@@ -21,17 +21,12 @@ Rational resolve_q(const SornConfig& config) {
 
 SornNetwork::SornNetwork(SornConfig config, CliqueAssignment assignment,
                          Rational q)
-    : config_(std::move(config)), q_(q) {
-  cliques_ = std::make_unique<CliqueAssignment>(std::move(assignment));
-  schedule_ = std::make_unique<CircuitSchedule>(
-      config_.inter_clique_weights.empty()
-          ? ScheduleBuilder::sorn(*cliques_, q_, config_.max_period)
-          : ScheduleBuilder::sorn_weighted(
-                *cliques_, q_, config_.inter_clique_weights,
-                config_.weighted_options, config_.max_period));
-  router_ = std::make_unique<SornRouter>(schedule_.get(), cliques_.get(),
-                                         config_.lb_mode);
-}
+    : config_(std::move(config)),
+      q_(q),
+      fabric_(build_sorn_fabric(std::move(assignment), q_,
+                                config_.inter_clique_weights, config_.lb_mode,
+                                config_.weighted_options,
+                                config_.max_period)) {}
 
 SornNetwork SornNetwork::build(const SornConfig& config) {
   SORN_ASSERT(config.cliques >= 1 && config.nodes % config.cliques == 0,
@@ -57,17 +52,11 @@ void SornNetwork::adapt(CliqueAssignment new_assignment, Rational new_q,
               "adaptation must preserve the node count");
   q_ = new_q;
   config_.inter_clique_weights = std::move(inter_clique_weights);
-  cliques_ = std::make_unique<CliqueAssignment>(std::move(new_assignment));
-  schedule_ = std::make_unique<CircuitSchedule>(
-      config_.inter_clique_weights.empty()
-          ? ScheduleBuilder::sorn(*cliques_, q_, config_.max_period)
-          : ScheduleBuilder::sorn_weighted(
-                *cliques_, q_, config_.inter_clique_weights,
-                config_.weighted_options, config_.max_period));
-  router_ = std::make_unique<SornRouter>(schedule_.get(), cliques_.get(),
-                                         config_.lb_mode);
-  router_->set_failure_view(failure_view_);
-  config_.cliques = cliques_->clique_count();
+  fabric_ = build_sorn_fabric(std::move(new_assignment), q_,
+                              config_.inter_clique_weights, config_.lb_mode,
+                              config_.weighted_options, config_.max_period);
+  fabric_.router->set_failure_view(failure_view_);
+  config_.cliques = fabric_.cliques->clique_count();
 }
 
 double SornNetwork::predicted_throughput() const {
@@ -75,13 +64,13 @@ double SornNetwork::predicted_throughput() const {
 }
 
 double SornNetwork::delta_m_intra() const {
-  return analysis::sorn_delta_m_intra(config_.nodes, cliques_->clique_count(),
-                                      q_.value());
+  return analysis::sorn_delta_m_intra(
+      config_.nodes, fabric_.cliques->clique_count(), q_.value());
 }
 
 double SornNetwork::delta_m_inter() const {
   return analysis::sorn_delta_m_inter_table(
-      config_.nodes, cliques_->clique_count(), q_.value());
+      config_.nodes, fabric_.cliques->clique_count(), q_.value());
 }
 
 double SornNetwork::min_latency_intra_us() const {
@@ -102,7 +91,7 @@ SlottedNetwork SornNetwork::make_network(std::uint64_t seed) const {
   nc.slot_duration = config_.slot_duration;
   nc.propagation_per_hop = config_.propagation_per_hop;
   nc.seed = seed;
-  return SlottedNetwork(schedule_.get(), router_.get(), nc);
+  return SlottedNetwork(fabric_.schedule.get(), fabric_.router.get(), nc);
 }
 
 }  // namespace sorn

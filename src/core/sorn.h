@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "analysis/models.h"
+#include "control/reconfig.h"
 #include "routing/sorn_routing.h"
 #include "sim/network.h"
 #include "topo/clique.h"
@@ -70,9 +71,9 @@ class SornNetwork {
                                            CliqueAssignment assignment);
 
   const SornConfig& config() const { return config_; }
-  const CliqueAssignment& cliques() const { return *cliques_; }
-  const CircuitSchedule& schedule() const { return *schedule_; }
-  const Router& router() const { return *router_; }
+  const CliqueAssignment& cliques() const { return *fabric_.cliques; }
+  const CircuitSchedule& schedule() const { return *fabric_.schedule; }
+  const Router& router() const { return *fabric_.router; }
   Rational q() const { return q_; }
 
   // Make this network's router failure-aware: pass a simulator's
@@ -81,7 +82,7 @@ class SornNetwork {
   // nullptr restores oblivious routing. Survives adapt().
   void set_failure_view(const FailureView* view) {
     failure_view_ = view;
-    router_->set_failure_view(view);
+    fabric_.router->set_failure_view(view);
   }
 
   // Rebuild the macro-configuration in place (new cliques and/or q, and
@@ -102,7 +103,7 @@ class SornNetwork {
 
   // The virtual-edge graph the schedule emulates.
   LogicalTopology logical_topology() const {
-    return LogicalTopology(*schedule_);
+    return LogicalTopology(*fabric_.schedule);
   }
 
   // A simulator bound to this network's schedule and router. The returned
@@ -115,9 +116,7 @@ class SornNetwork {
 
   SornConfig config_;
   Rational q_;
-  std::unique_ptr<CliqueAssignment> cliques_;
-  std::unique_ptr<CircuitSchedule> schedule_;
-  std::unique_ptr<SornRouter> router_;
+  SornFabric fabric_;
   const FailureView* failure_view_ = nullptr;
 };
 

@@ -165,9 +165,11 @@ std::string timeseries_to_csv(const TimeSeriesSampler& sampler) {
 bool write_text_file(const std::string& path, std::string_view content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
+  // A full disk can surface at either call: fwrite on a large write,
+  // fclose when the buffered tail is flushed.
+  const bool written =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  return std::fclose(f) == 0 && written;
 }
 
 }  // namespace sorn

@@ -62,7 +62,7 @@ Path RotorRouter::route(NodeId src, NodeId dst, Slot now, Rng& /*rng*/) const {
   }
   // Unreachable within the budget in this window: fall back to the direct
   // circuit (the flow waits for the rotation, like bulk).
-  return route_bulk(src, dst);
+  return Path::of({src, dst});
 }
 
 double RotorRouter::fallback_fraction() const {

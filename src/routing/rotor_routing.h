@@ -7,8 +7,8 @@
 // delta_m = 0, paths are up immediately; bulk flows take the direct
 // circuit and wait for the rotation (delta_m = N-1 over u lanes).
 //
-// RotorRouter implements the short-flow path choice; bulk flows are the
-// direct path (route_bulk). Callers split flows by size, as Opera does.
+// RotorRouter implements the short-flow path choice; bulk flows take the
+// direct path (DirectRouter). Callers split flows by size, as Opera does.
 #pragma once
 
 #include "routing/router.h"
@@ -35,11 +35,6 @@ class RotorRouter : public Router {
   // flow always gets an expander path.
   double fallback_fraction() const;
   int max_hops() const override { return max_hops_; }
-
-  // The direct single-hop path bulk flows use (waits for the rotation).
-  static Path route_bulk(NodeId src, NodeId dst) {
-    return Path::of({src, dst});
-  }
 
   // Neighbors of `node` in the active union at slot `now` (one per lane,
   // deduplicated).

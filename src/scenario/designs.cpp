@@ -1,15 +1,15 @@
-// The seven builtin designs: each factory maps a ScenarioConfig onto the
-// exact construction the examples and benches used to hand-roll, so a
-// scenario built through the registry is byte-for-byte the fabric those
-// binaries simulated before the port.
+// The seven builtin designs, and the one place each fabric is built: every
+// factory maps a ScenarioConfig onto its schedule and router(s) directly
+// (sorn through SornNetwork, whose fabric comes from build_sorn_fabric).
+// Benches, examples and sorn_tool get their fabrics from here.
 #include <cmath>
 #include <memory>
 #include <utility>
 
 #include "analysis/models.h"
-#include "core/hier_sorn.h"
 #include "core/sorn.h"
-#include "routing/orn_hd_routing.h"
+#include "routing/direct.h"
+#include "routing/hier_routing.h"
 #include "routing/orn_mixed_routing.h"
 #include "routing/rotor_routing.h"
 #include "routing/vlb.h"
@@ -118,38 +118,40 @@ class HierDesign final : public Design {
                          static_cast<long long>(config.pods_per_cluster)));
     }
 
-    HierSornConfig cfg;
-    cfg.nodes = config.nodes;
-    cfg.clusters = config.clusters;
-    cfg.pods_per_cluster = config.pods_per_cluster;
-    cfg.pod_locality_x1 = config.pod_locality_x1;
-    cfg.cluster_locality_x2 = config.cluster_locality_x2;
-    cfg.uplinks = config.lanes;
-    cfg.slot_duration = config.slot_ns * 1000;
-    cfg.propagation_per_hop = config.propagation_ns * 1000;
-    cfg.lb_mode = lb_mode_of(config);
-
+    // Shares from the locality split; the period cap keeps a share ratio
+    // from blowing the period up.
     struct Holder {
-      HierSornNetwork net;
+      Hierarchy hierarchy;
       CliqueAssignment pods;
-      explicit Holder(HierSornNetwork n)
-          : net(std::move(n)), pods(net.hierarchy().pods()) {}
+      analysis::HierSharesApprox shares;
+      CircuitSchedule schedule;
+      HierSornRouter router;
+      explicit Holder(const ScenarioConfig& c)
+          : hierarchy(Hierarchy::regular(c.nodes, c.clusters,
+                                         c.pods_per_cluster)),
+            pods(hierarchy.pods()),
+            shares(analysis::hier_optimal_shares(c.pod_locality_x1,
+                                                 c.cluster_locality_x2)),
+            schedule(ScheduleBuilder::sorn_hierarchical(
+                hierarchy, {shares.intra, shares.inter, shares.global},
+                1 << 18)),
+            router(&schedule, &hierarchy, lb_mode_of(c)) {}
     };
-    auto holder = std::make_shared<Holder>(HierSornNetwork::build(cfg));
-    out->schedule = &holder->net.schedule();
-    out->router = &holder->net.router();
+    auto holder = std::make_shared<Holder>(config);
+    out->schedule = &holder->schedule;
+    out->router = &holder->router;
     out->cliques = &holder->pods;
-    out->hierarchy = &holder->net.hierarchy();
-    out->predicted_throughput = holder->net.predicted_throughput();
-    const auto shares = holder->net.shares();
+    out->hierarchy = &holder->hierarchy;
+    out->predicted_throughput = analysis::hier_throughput(
+        config.pod_locality_x1, config.cluster_locality_x2);
     out->summary =
         format("shares %lld:%lld:%lld, period %lld slots",
-               static_cast<long long>(shares.intra),
-               static_cast<long long>(shares.inter),
-               static_cast<long long>(shares.global),
-               static_cast<long long>(holder->net.schedule().period()));
+               static_cast<long long>(holder->shares.intra),
+               static_cast<long long>(holder->shares.inter),
+               static_cast<long long>(holder->shares.global),
+               static_cast<long long>(holder->schedule.period()));
     out->set_failure_view = [holder](const FailureView* view) {
-      holder->net.set_failure_view(view);
+      holder->router.set_failure_view(view);
     };
     out->owner = holder;
     return true;
@@ -221,15 +223,6 @@ class RotorDesign final : public Design {
 
 // ---- opera ---------------------------------------------------------------
 
-// Bulk flows wait for the direct rotation circuit (Opera's split).
-class OperaBulkRouter final : public Router {
- public:
-  Path route(NodeId src, NodeId dst, Slot, Rng&) const override {
-    return RotorRouter::route_bulk(src, dst);
-  }
-  int max_hops() const override { return 1; }
-};
-
 class OperaDesign final : public Design {
  public:
   std::string name() const override { return "opera"; }
@@ -249,7 +242,7 @@ class OperaDesign final : public Design {
     struct Holder {
       CircuitSchedule schedule;
       RotorRouter short_router;
-      OperaBulkRouter bulk_router;
+      DirectRouter bulk_router;  // bulk waits for the direct circuit
       Holder(CircuitSchedule s, int lanes, int max_hops)
           : schedule(std::move(s)), short_router(&schedule, lanes, max_hops) {}
     };
@@ -275,6 +268,29 @@ class OperaDesign final : public Design {
 };
 
 // ---- orn-hd / orn-mixed --------------------------------------------------
+
+// Both ORN designs: the mixed-radix schedule and router over `radices`
+// (orn-hd passes h equal radices). Returns the schedule period.
+struct OrnHolder {
+  CircuitSchedule schedule;
+  OrnMixedRouter router;
+  OrnHolder(NodeId n, const std::vector<NodeId>& radices)
+      : schedule(ScheduleBuilder::orn_mixed(n, radices)), router(n, radices) {}
+};
+
+Slot fill_orn(NodeId n, const std::vector<NodeId>& radices,
+              BuiltDesign* out) {
+  auto holder = std::make_shared<OrnHolder>(n, radices);
+  out->schedule = &holder->schedule;
+  out->router = &holder->router;
+  out->predicted_throughput =
+      analysis::orn_hd_throughput(static_cast<int>(radices.size()));
+  out->set_failure_view = [holder](const FailureView* view) {
+    holder->router.set_failure_view(view);
+  };
+  out->owner = holder;
+  return holder->schedule.period();
+}
 
 // r with r^h == n, or 0 when n is not a perfect h-th power.
 NodeId hd_radix(NodeId n, int h) {
@@ -310,25 +326,12 @@ class OrnHdDesign final : public Design {
                          "radix r >= 2",
                          static_cast<long long>(config.nodes), h));
     }
-
-    struct Holder {
-      CircuitSchedule schedule;
-      OrnHdRouter router;
-      Holder(CircuitSchedule s, NodeId n, int dims)
-          : schedule(std::move(s)), router(n, dims) {}
-    };
-    auto holder = std::make_shared<Holder>(
-        ScheduleBuilder::orn_hd(config.nodes, h), config.nodes, h);
-    out->schedule = &holder->schedule;
-    out->router = &holder->router;
-    out->predicted_throughput = analysis::orn_hd_throughput(h);
+    const Slot period = fill_orn(
+        config.nodes, std::vector<NodeId>(static_cast<std::size_t>(h), r),
+        out);
     out->summary = format("%dD grid, radix %lld, period %lld slots", h,
                           static_cast<long long>(r),
-                          static_cast<long long>(holder->schedule.period()));
-    out->set_failure_view = [holder](const FailureView* view) {
-      holder->router.set_failure_view(view);
-    };
-    out->owner = std::move(holder);
+                          static_cast<long long>(period));
     return true;
   }
 };
@@ -364,30 +367,14 @@ class OrnMixedDesign final : public Design {
                          static_cast<long long>(config.nodes)));
     }
 
-    struct Holder {
-      CircuitSchedule schedule;
-      OrnMixedRouter router;
-      Holder(CircuitSchedule s, NodeId n, std::vector<NodeId> r)
-          : schedule(std::move(s)), router(n, std::move(r)) {}
-    };
-    auto holder = std::make_shared<Holder>(
-        ScheduleBuilder::orn_mixed(config.nodes, radices), config.nodes,
-        radices);
-    out->schedule = &holder->schedule;
-    out->router = &holder->router;
-    out->predicted_throughput =
-        analysis::orn_hd_throughput(static_cast<int>(radices.size()));
+    const Slot period = fill_orn(config.nodes, radices, out);
     std::string dims;
     for (std::size_t i = 0; i < radices.size(); ++i) {
       if (i > 0) dims += "x";
       dims += format("%lld", static_cast<long long>(radices[i]));
     }
     out->summary = format("radices %s, period %lld slots", dims.c_str(),
-                          static_cast<long long>(holder->schedule.period()));
-    out->set_failure_view = [holder](const FailureView* view) {
-      holder->router.set_failure_view(view);
-    };
-    out->owner = std::move(holder);
+                          static_cast<long long>(period));
     return true;
   }
 

@@ -1,8 +1,9 @@
 // Builders for the circuit-schedule families studied in the paper.
 //
 //  - round_robin:  the flat 1D oblivious schedule of Fig. 1 (Sirius/Shoal).
-//  - orn_hd:       the h-dimensional optimal ORN schedule of [4]: nodes are
-//                  h-digit base-r numbers, each phase round-robins one digit.
+//  - orn_mixed:    the optimal ORN schedule of [4]/[35]: nodes are
+//                  mixed-radix numbers, each phase round-robins one digit
+//                  (h equal radices r give the h-dimensional ORN, n = r^h).
 //  - sorn:         the paper's semi-oblivious clique schedule (Sec. 4):
 //                  intra-clique round robins and inter-clique round robins
 //                  interleaved in the exact ratio q : 1 with q rational.
@@ -39,10 +40,6 @@ class ScheduleBuilder {
   // Flat round-robin over n nodes: period n-1, slot k applies the cyclic
   // shift by k+1. Every circuit appears exactly once per period.
   static CircuitSchedule round_robin(NodeId n);
-
-  // h-dimensional optimal ORN schedule. Requires n == r^h for integer r.
-  // Period h*(r-1); phase d round-robins digit d.
-  static CircuitSchedule orn_hd(NodeId n, int h);
 
   // Mixed-radix optimal ORN (Wilson et al. [35]: "Extending Optimal
   // Oblivious Reconfigurable Networks to all N"): nodes are mixed-radix

@@ -28,6 +28,12 @@ void DemandModel::for_each_nonzero(const NonzeroVisitor& visit) const {
   }
 }
 
+std::size_t DemandModel::nonzero_count() const {
+  std::size_t count = 0;
+  for_each_nonzero([&count](NodeId, NodeId, double) { ++count; });
+  return count;
+}
+
 double DemandModel::total() const {
   // Row-major fold over nonzeros == the dense fold over all N^2 entries.
   double t = 0.0;

@@ -61,6 +61,9 @@ class DemandModel {
   // entries whose stored value is exactly 0.0.
   using NonzeroVisitor = std::function<void(NodeId, NodeId, double)>;
   virtual void for_each_nonzero(const NonzeroVisitor& visit) const;
+  // How many entries for_each_nonzero visits: the size hint for copies
+  // built from that walk (SparseDemand::Builder).
+  virtual std::size_t nonzero_count() const;
 
   virtual double total() const;
   virtual double row_sum(NodeId src) const;

@@ -256,6 +256,12 @@ void ProceduralDemand::for_each_nonzero(const NonzeroVisitor& visit) const {
   }
 }
 
+std::size_t ProceduralDemand::nonzero_count() const {
+  std::size_t count = 0;
+  for (NodeId i = 0; i < n_; ++i) count += classes_[class_of(i)].row_seq_len;
+  return count;
+}
+
 double ProceduralDemand::row_sum(NodeId src) const {
   return classes_[class_of(src)].row_sum;
 }

@@ -57,6 +57,7 @@ class ProceduralDemand : public DemandModel {
   NodeId node_count() const override { return n_; }
   double at(NodeId src, NodeId dst) const override;
   void for_each_nonzero(const NonzeroVisitor& visit) const override;
+  std::size_t nonzero_count() const override;
 
   double total() const override;
   double row_sum(NodeId src) const override;

@@ -8,10 +8,12 @@ namespace sorn {
 
 // ---------------------------------------------------------------- Builder
 
-SparseDemand::Builder::Builder(NodeId n) : n_(n) {
+SparseDemand::Builder::Builder(NodeId n, std::size_t max_nonzeros) : n_(n) {
   SORN_ASSERT(n >= 1, "sparse demand needs at least one node");
   row_buffer_.assign(static_cast<std::size_t>(n), 0.0);
   row_ptr_rows_.reserve(static_cast<std::size_t>(n));
+  cols_.reserve(max_nonzeros);
+  vals_.reserve(max_nonzeros);
 }
 
 void SparseDemand::Builder::set(NodeId src, NodeId dst, double rate) {
@@ -87,7 +89,7 @@ std::unique_ptr<SparseDemand> SparseDemand::Builder::build(
 
 std::unique_ptr<SparseDemand> SparseDemand::from_model(
     const DemandModel& model, bool normalize) {
-  Builder builder(model.node_count());
+  Builder builder(model.node_count(), model.nonzero_count());
   model.for_each_nonzero(
       [&builder](NodeId i, NodeId j, double d) { builder.set(i, j, d); });
   return builder.build(normalize);

@@ -31,13 +31,14 @@ class SparseDemand : public DemandModel {
  public:
   // Row-major construction sink for the pattern generators: set() rows in
   // nondecreasing row order (any column order within a row; a dense
-  // N-sized row buffer absorbs the order), then build(). With normalize
+  // N-sized row buffer absorbs the order), then build(). max_nonzeros, an
+  // upper bound on the nonzeros set, sizes the buffers once. With normalize
   // true the build replicates TrafficMatrix::normalize_node_load(1.0)
   // bit-for-bit (raw folds including zeros, factor = 1/max_node_load,
   // each stored value = raw * factor).
   class Builder {
    public:
-    explicit Builder(NodeId n);
+    explicit Builder(NodeId n, std::size_t max_nonzeros = 0);
     void set(NodeId src, NodeId dst, double rate);
     std::unique_ptr<SparseDemand> build(bool normalize_node_load);
 
@@ -84,7 +85,7 @@ class SparseDemand : public DemandModel {
   std::size_t memory_bytes() const override;
   DemandBackend backend() const override { return DemandBackend::kSparse; }
 
-  std::size_t nonzero_count() const { return vals_.size(); }
+  std::size_t nonzero_count() const override { return vals_.size(); }
 
  private:
   SparseDemand(NodeId n) : n_(n) {}

@@ -35,6 +35,12 @@ void TrafficMatrix::for_each_nonzero(const NonzeroVisitor& visit) const {
   }
 }
 
+std::size_t TrafficMatrix::nonzero_count() const {
+  return demand_.size() -
+         static_cast<std::size_t>(
+             std::count(demand_.begin(), demand_.end(), 0.0));
+}
+
 double TrafficMatrix::total() const {
   double t = 0.0;
   for (const double d : demand_) t += d;

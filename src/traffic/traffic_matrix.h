@@ -36,6 +36,7 @@ class TrafficMatrix : public DemandModel {
   void add(NodeId src, NodeId dst, double rate);
 
   void for_each_nonzero(const NonzeroVisitor& visit) const override;
+  std::size_t nonzero_count() const override;
 
   double total() const override;
   double row_sum(NodeId src) const override;

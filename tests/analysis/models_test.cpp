@@ -155,6 +155,15 @@ TEST(ModelsTest, Section2CycleTimeExample) {
               0.01);
 }
 
+TEST(HierSornNetworkTest, DeltaMOrdering) {
+  // 64 nodes = 4 clusters x 4 pods x 4 nodes, shares from x1 = 0.5,
+  // x2 = 0.3: each level out cycles through more circuits.
+  const HierSharesApprox shares = hier_optimal_shares(0.5, 0.3);
+  EXPECT_LT(hier_delta_m_pod(4, shares), hier_delta_m_cluster(4, 4, shares));
+  EXPECT_LT(hier_delta_m_cluster(4, 4, shares),
+            hier_delta_m_global(4, 4, 4, shares));
+}
+
 }  // namespace
 }  // namespace analysis
 }  // namespace sorn

@@ -5,6 +5,7 @@
 
 #include "control/hier_optimizer.h"
 #include "routing/hier_routing.h"
+#include "scenario/scenario_runner.h"
 #include "sim/saturation.h"
 #include "topo/schedule_builder.h"
 #include "traffic/patterns.h"
@@ -90,6 +91,26 @@ TEST(HierEndToEndTest, MisplannedHierarchyLosesThroughput) {
   const double r_raw = raw_source.measure(unplanned, 5000, 6000);
 
   EXPECT_GT(r_matched, r_raw + 0.05);
+}
+
+TEST(HierSornNetworkTest, SimulationDeliversAllClasses) {
+  // The registry's hier fabric, wired by the runner, carries one cell of
+  // each hierarchy class: 4 clusters x 4 pods x 4 nodes.
+  ScenarioConfig cfg;
+  cfg.design = "hier";
+  cfg.nodes = 64;
+  cfg.clusters = 4;
+  cfg.pods_per_cluster = 4;
+  cfg.threads = 1;
+  std::string error;
+  auto runner = ScenarioRunner::create(cfg, &error);
+  ASSERT_NE(runner, nullptr) << error;
+  SlottedNetwork& sim = runner->network();
+  sim.inject_cell(0, 2);   // same pod
+  sim.inject_cell(0, 9);   // same cluster
+  sim.inject_cell(0, 40);  // cross cluster
+  sim.run(2000);
+  EXPECT_EQ(sim.metrics().delivered_cells(), 3u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "routing/direct.h"
+#include "scenario/scenario_runner.h"
 #include "sim/network.h"
 #include "topo/schedule_builder.h"
 
@@ -110,6 +111,35 @@ TEST(ExportTest, WriteTextFileRoundTrip) {
 
 TEST(ExportTest, WriteTextFileFailsOnBadPath) {
   EXPECT_FALSE(write_text_file("/nonexistent-dir-xyz/out.json", "x"));
+}
+
+// /dev/full opens fine and fails every write with ENOSPC: the failure
+// shows up only at fwrite/fclose, so only a checked writer reports it.
+bool have_dev_full() {
+  std::FILE* f = std::fopen("/dev/full", "w");
+  if (f == nullptr) return false;
+  std::fclose(f);
+  return true;
+}
+
+TEST(ExportTest, WriteTextFileFailsOnAFullDisk) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full on this platform";
+  EXPECT_FALSE(write_text_file("/dev/full", "{\"ok\":true}\n"));
+}
+
+TEST(ExportTest, ScenarioRunFailsWhenTheMetricsCannotBeWritten) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full on this platform";
+  ScenarioConfig cfg;
+  cfg.nodes = 16;
+  cfg.cliques = 4;
+  cfg.slots = 200;
+  cfg.threads = 1;
+  cfg.metrics_json_path = "/dev/full";
+  std::string error;
+  auto runner = ScenarioRunner::create(cfg, &error);
+  ASSERT_NE(runner, nullptr) << error;
+  EXPECT_FALSE(runner->run(&error));
+  EXPECT_NE(error.find("cannot write /dev/full"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "routing/direct.h"
 #include "sim/network.h"
 #include "topo/schedule_builder.h"
 
@@ -100,13 +101,7 @@ TEST(RotorRouterTest, BulkWaitsForRotation) {
   SlottedNetwork net(&s, &router, cfg);
   // Direct circuit 0 -> 8 is up when shift k = 8 rotates in; worst case
   // (n-1)/lanes * dwell slots.
-  class BulkRouter : public Router {
-   public:
-    Path route(NodeId a, NodeId b, Slot, Rng&) const override {
-      return RotorRouter::route_bulk(a, b);
-    }
-    int max_hops() const override { return 1; }
-  } bulk;
+  const DirectRouter bulk;
   net.inject_flow_with(bulk, 2, 0, 8, 256);
   net.run(16 * dwell);  // a full rotation guarantees the direct circuit
   EXPECT_EQ(net.metrics().delivered_cells(), 1u);
@@ -124,13 +119,7 @@ TEST(RotorRouterTest, MixedClassesShareOneFabric) {
   cfg.lanes = 4;
   cfg.propagation_per_hop = 0;
   SlottedNetwork net(&s, &short_router, cfg);
-  class BulkRouter : public Router {
-   public:
-    Path route(NodeId a, NodeId b, Slot, Rng&) const override {
-      return RotorRouter::route_bulk(a, b);
-    }
-    int max_hops() const override { return 1; }
-  } bulk;
+  const DirectRouter bulk;
   net.inject_flow(1, 0, 9, 2 * 256, /*flow_class=*/0);
   net.inject_flow_with(bulk, 2, 3, 20, 2 * 256, /*flow_class=*/1);
   net.run(3000);

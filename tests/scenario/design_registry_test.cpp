@@ -96,6 +96,49 @@ TEST(DesignRegistryTest, InvalidGeometryFailsWithMessage) {
       DesignRegistry::instance().build("orn-mixed", cfg, &built, &error));
 }
 
+TEST(OrnHdTest, RejectsNonPowerNodeCounts) {
+  ScenarioConfig cfg = small_config();
+  cfg.nodes = 15;
+  BuiltDesign built;
+  std::string error;
+  EXPECT_FALSE(DesignRegistry::instance().build("orn-hd", cfg, &built,
+                                                &error));
+  EXPECT_NE(error.find("must be r^2"), std::string::npos) << error;
+}
+
+TEST(HierSornNetworkTest, BuildDerivesOptimalShares) {
+  ScenarioConfig cfg;
+  cfg.nodes = 64;
+  cfg.clusters = 4;
+  cfg.pods_per_cluster = 4;
+  cfg.pod_locality_x1 = 0.5;
+  cfg.cluster_locality_x2 = 0.3;
+  BuiltDesign built;
+  std::string error;
+  ASSERT_TRUE(DesignRegistry::instance().build("hier", cfg, &built, &error))
+      << error;
+  // Optimal ratio 2 : 0.5 : 0.2 (x3 = 0.2), scaled by 12: 24 : 6 : 2.
+  EXPECT_EQ(built.summary.rfind("shares 24:6:2, ", 0), 0u) << built.summary;
+  EXPECT_NEAR(built.predicted_throughput, 1.0 / 2.7, 1e-12);
+  ASSERT_NE(built.hierarchy, nullptr);
+  EXPECT_EQ(built.hierarchy->pod_size(), 4);
+}
+
+TEST(OperaRoutingTest, BulkIsDirect) {
+  BuiltDesign built;
+  std::string error;
+  ASSERT_TRUE(DesignRegistry::instance().build("opera", small_config(),
+                                               &built, &error))
+      << error;
+  ASSERT_NE(built.bulk_router, nullptr);
+  EXPECT_EQ(built.bulk_router->max_hops(), 1);
+  Rng rng(1);
+  const Path p = built.bulk_router->route(3, 9, 0, rng);
+  EXPECT_EQ(p.hop_count(), 1);
+  EXPECT_EQ(p.src(), 3);
+  EXPECT_EQ(p.dst(), 9);
+}
+
 TEST(DesignRegistryTest, SornDesignExposesItsNetworkHandle) {
   BuiltDesign built;
   std::string error;

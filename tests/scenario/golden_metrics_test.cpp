@@ -4,11 +4,17 @@
 // routing, the slot engine or the scenario wiring that moves these
 // numbers must be intentional and update them here.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 
 #include "core/sorn.h"
 #include "scenario/scenario_runner.h"
+#include "sim/artifact_digest.h"
 #include "sim/saturation.h"
 #include "traffic/patterns.h"
 
@@ -93,6 +99,75 @@ TEST(GoldenMetricsTest, MetricsIdenticalAtFourThreads) {
     // The full exported document — every counter, histogram and
     // percentile — must be byte-identical across thread counts.
     EXPECT_EQ(one->metrics_json(), four->metrics_json()) << g.design;
+  }
+}
+
+// FNV-1a digests of each design's pinned run with a trace attached: the
+// metrics JSON (which then carries the telemetry counters) and the JSONL
+// trace. Every fabric is built by the registry alone; these bytes were
+// captured while orn-hd, hier and opera still had their own routers and
+// facade, so the ports to the shared constructions are pinned exact.
+// Extra rows cover the paths the plain pinned run skips: opera's
+// short/bulk split and the sorn control loop's schedule swaps.
+struct GoldenDigest {
+  const char* label;
+  const char* design;
+  std::function<void(ScenarioConfig*)> tweak;
+  std::uint64_t metrics_json;
+  std::uint64_t trace;
+};
+
+void opera_split(ScenarioConfig* cfg) {
+  cfg->flow_size = FlowSizeKind::kPfabricDataMining;
+  cfg->flow_size_cap = 1 << 16;
+  cfg->classify = ClassifyKind::kSize;
+  cfg->bulk_cutoff_bytes = 15000;
+}
+
+void sorn_control_loop(ScenarioConfig* cfg) {
+  cfg->epoch_slots = 500;
+  cfg->fault_script = "700 fail-node 5\n1400 heal-node 5\n";
+  cfg->retransmit_timeout = 64;
+}
+
+const GoldenDigest kDigests[] = {
+    {"hier", "hier", nullptr, 0x16c2791b5ec14b46, 0x025259785e5582af},
+    {"opera", "opera", nullptr, 0x5491ae59fcce5a55, 0xeab1e84bec802022},
+    {"opera split", "opera", opera_split,
+     0xc406a8aeefd94656, 0xf4637d5befce6d85},
+    {"orn-hd", "orn-hd", nullptr, 0x86b78a8898a2dd25, 0xc111656b66682f7a},
+    {"orn-mixed", "orn-mixed", nullptr, 0xca51265a1c1c2998, 0x50bd7727546c12c3},
+    {"rotor", "rotor", nullptr, 0x0aa6f72fd2b1efc6, 0xf27723287b5dbf93},
+    {"sorn", "sorn", nullptr, 0xa9c42dd18ee2b6c4, 0x9506f1724f4f8866},
+    {"sorn control loop", "sorn", sorn_control_loop,
+     0x9265830cf06bf8d0, 0xe84cd882eb8b5b0b},
+    {"vlb", "vlb", nullptr, 0x37172cb634e5cf15, 0x1717fc45cdf451fd},
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(GoldenMetricsTest, EveryDesignMatchesPinnedDigests) {
+  for (const GoldenDigest& g : kDigests) {
+    ScenarioConfig cfg = pinned_config(g.design);
+    if (g.tweak) g.tweak(&cfg);
+    // PID-unique: ctest runs each TEST of this binary concurrently.
+    cfg.trace_path = testing::TempDir() + "golden_digest_" +
+                     std::to_string(::getpid()) + ".jsonl";
+    auto runner = run_pinned(cfg);
+    ASSERT_NE(runner, nullptr) << g.label;
+    const std::string trace = slurp(cfg.trace_path);
+    std::remove(cfg.trace_path.c_str());
+    EXPECT_FALSE(trace.empty()) << g.label;
+    EXPECT_EQ(digest::fnv1a(runner->metrics_json()), g.metrics_json)
+        << g.label << std::hex << ": metrics_json digest 0x"
+        << digest::fnv1a(runner->metrics_json());
+    EXPECT_EQ(digest::fnv1a(trace), g.trace)
+        << g.label << std::hex << ": trace digest 0x" << digest::fnv1a(trace);
   }
 }
 

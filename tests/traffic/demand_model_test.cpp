@@ -165,6 +165,17 @@ TEST(DemandModelGolden, NonzeroVisitMatchesTheDenseRowMajorWalk) {
   }
 }
 
+TEST(DemandModelGolden, NonzeroCountMatchesTheWalkOnEveryBackend) {
+  for (const BackendSet& s : scenario_patterns()) {
+    for (const DemandModel* m : s.all()) {
+      std::size_t visited = 0;
+      m->for_each_nonzero([&visited](NodeId, NodeId, double) { ++visited; });
+      EXPECT_EQ(m->nonzero_count(), visited)
+          << s.name << " " << demand_backend_name(m->backend());
+    }
+  }
+}
+
 TEST(DemandModelGolden, SeededSamplePairSequencesAreIdentical) {
   constexpr int kDraws = 4000;
   for (const BackendSet& s : scenario_patterns()) {

@@ -276,26 +276,26 @@ bool FaultInjector::apply(SlottedNetwork& net, const FaultEvent& ev) {
   return false;
 }
 
-double FaultInjector::total_rate(const SlottedNetwork& net) const {
+FaultInjector::Rates FaultInjector::rates(const SlottedNetwork& net) const {
   const FailureView& view = net.failure_view();
   const auto n = static_cast<double>(net.node_count());
-  double rate = 0.0;
+  Rates r;
   if (opt_.node_mtbf_slots > 0) {
     const auto failed = static_cast<double>(view.failed_node_count());
-    rate += (n - failed) / opt_.node_mtbf_slots;
-    rate += failed / opt_.node_mttr_slots;
+    r.node_fail = (n - failed) / opt_.node_mtbf_slots;
+    r.node_heal = failed / opt_.node_mttr_slots;
   }
   if (opt_.circuit_mtbf_slots > 0) {
     const double circuits = n * (n - 1.0);
     const auto failed = static_cast<double>(view.failed_circuit_count());
-    rate += (circuits - failed) / opt_.circuit_mtbf_slots;
-    rate += failed / opt_.circuit_mttr_slots;
+    r.circuit_fail = (circuits - failed) / opt_.circuit_mtbf_slots;
+    r.circuit_heal = failed / opt_.circuit_mttr_slots;
   }
-  return rate;
+  return r;
 }
 
 void FaultInjector::schedule_next(const SlottedNetwork& net, Slot now) {
-  const double rate = total_rate(net);
+  const double rate = rates(net).total();
   if (rate <= 0.0) {
     pending_slot_ = kNone;
     return;
@@ -350,44 +350,29 @@ void FaultInjector::pick_circuit(const SlottedNetwork& net, bool failed,
 }
 
 void FaultInjector::apply_stochastic(SlottedNetwork& net) {
-  const FailureView& view = net.failure_view();
-  const auto n = static_cast<double>(net.node_count());
-  double node_fail_rate = 0.0, node_heal_rate = 0.0;
-  double circuit_fail_rate = 0.0, circuit_heal_rate = 0.0;
-  if (opt_.node_mtbf_slots > 0) {
-    const auto failed = static_cast<double>(view.failed_node_count());
-    node_fail_rate = (n - failed) / opt_.node_mtbf_slots;
-    node_heal_rate = failed / opt_.node_mttr_slots;
-  }
-  if (opt_.circuit_mtbf_slots > 0) {
-    const double circuits = n * (n - 1.0);
-    const auto failed = static_cast<double>(view.failed_circuit_count());
-    circuit_fail_rate = (circuits - failed) / opt_.circuit_mtbf_slots;
-    circuit_heal_rate = failed / opt_.circuit_mttr_slots;
-  }
-  const double total = node_fail_rate + node_heal_rate + circuit_fail_rate +
-                       circuit_heal_rate;
+  const Rates rate = rates(net);
+  const double total = rate.total();
   if (total <= 0.0) return;
   double r = rng_.next_double() * total;
   const Slot now = net.now();
-  if (r < node_fail_rate) {
+  if (r < rate.node_fail) {
     if (net.fail_node(pick_node(net, /*failed=*/false))) {
       ++stochastic_failures_;
       note_applied(now);
     }
     return;
   }
-  r -= node_fail_rate;
-  if (r < node_heal_rate) {
+  r -= rate.node_fail;
+  if (r < rate.node_heal) {
     if (net.heal_node(pick_node(net, /*failed=*/true))) {
       ++stochastic_heals_;
       note_applied(now);
     }
     return;
   }
-  r -= node_heal_rate;
+  r -= rate.node_heal;
   NodeId src = 0, dst = 0;
-  if (r < circuit_fail_rate) {
+  if (r < rate.circuit_fail) {
     pick_circuit(net, /*failed=*/false, &src, &dst);
     if (net.fail_circuit(src, dst)) {
       ++stochastic_failures_;

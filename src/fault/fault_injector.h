@@ -139,9 +139,18 @@ class FaultInjector {
   // Apply one event; returns true if network state changed.
   bool apply(SlottedNetwork& net, const FaultEvent& ev);
   void note_applied(Slot slot);
-  // Total transition rate of the stochastic model given the current
-  // failure state (events per slot).
-  double total_rate(const SlottedNetwork& net) const;
+  // The stochastic model's transition rates (events per slot) in the
+  // current failure state; a disabled class contributes zeros.
+  struct Rates {
+    double node_fail = 0.0;
+    double node_heal = 0.0;
+    double circuit_fail = 0.0;
+    double circuit_heal = 0.0;
+    double total() const {
+      return node_fail + node_heal + circuit_fail + circuit_heal;
+    }
+  };
+  Rates rates(const SlottedNetwork& net) const;
   // Draw the next stochastic transition slot from `now` (or kNone when
   // the total rate is zero).
   void schedule_next(const SlottedNetwork& net, Slot now);

@@ -119,13 +119,11 @@ std::string run_to_json(const SimMetrics& metrics, const Telemetry* telemetry,
   if (telemetry != nullptr) {
     w.key("registry").begin_object();
     w.key("counters").begin_object();
-    for (const auto& [name, v] : telemetry->registry().counters())
+    for (const auto& [name, v] : telemetry->counters().named())
       w.field(name, v);
     w.end_object();
-    w.key("gauges").begin_object();
-    for (const auto& [name, v] : telemetry->registry().gauges())
-      w.field(name, v);
-    w.end_object();
+    // No gauges are kept; the empty block keeps the document's shape.
+    w.key("gauges").begin_object().end_object();
     w.end_object();
 
     if (const TimeSeriesSampler* ts = telemetry->timeseries()) {
@@ -156,10 +154,6 @@ std::string run_to_json(const SimMetrics& metrics, const Telemetry* telemetry,
 
   w.end_object();
   return w.take();
-}
-
-std::string timeseries_to_csv(const TimeSeriesSampler& sampler) {
-  return sampler.to_csv();
 }
 
 bool write_text_file(const std::string& path, std::string_view content) {

@@ -37,12 +37,9 @@ void json_histogram(JsonWriter& w, const Histogram& h);
 // The full run as one JSON document: counters, throughput, cell-latency
 // percentiles + histogram, FCT percentiles (overall and per class),
 // queue-occupancy stats, plus — when `telemetry` is non-null — the
-// registry counters/gauges and the sampled time series.
+// standard counters (under "registry") and the sampled time series.
 std::string run_to_json(const SimMetrics& metrics, const Telemetry* telemetry,
                         const ExportOptions& options = {});
-
-// The sampled time series as CSV (header + one row per sample).
-std::string timeseries_to_csv(const TimeSeriesSampler& sampler);
 
 // Write `content` to `path`; false (with no partial file guarantee) when
 // the file cannot be opened, written or closed.

@@ -13,18 +13,22 @@ namespace sorn {
 
 struct PoolWorkerStats {
   std::uint64_t busy_ns = 0;  // wall time spent inside shard bodies
-  std::uint64_t shards = 0;   // shard bodies this worker executed
+  std::uint64_t shards = 0;   // shard bodies this thread executed
 };
 
 struct PoolUtilization {
   int threads = 1;
   std::uint64_t batches = 0;        // dispatches while profiling was on
   std::uint64_t shards = 0;         // total shard executions (all workers)
-  std::uint64_t owner_wait_ns = 0;  // coordinating thread inside wait()
+  // Time the calling thread spent waiting for the workers after running
+  // its own shards (0 for a 1-thread pool, which has no workers).
+  std::uint64_t owner_wait_ns = 0;
   // Wall-clock span from enable_profiling(true) to the snapshot; per-worker
   // idle time is window_ns - busy_ns (computed at export, clamped at 0).
   std::uint64_t window_ns = 0;
-  std::vector<PoolWorkerStats> workers;  // one entry per worker thread
+  // One entry per pool thread: entry 0 is the thread calling
+  // run_shards(), entries 1..threads-1 the persistent workers.
+  std::vector<PoolWorkerStats> workers;
 };
 
 }  // namespace sorn

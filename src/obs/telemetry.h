@@ -1,5 +1,5 @@
-// Telemetry facade: one object bundling the counter registry, the event
-// tracer and the optional per-slot time-series sampler.
+// Telemetry facade: one object bundling the standard event counters, the
+// event tracer and the optional per-slot time-series sampler.
 //
 // A SlottedNetwork holds a borrowed Telemetry* (set_telemetry); every
 // instrumentation site in the simulator is guarded by one null check, so
@@ -17,14 +17,39 @@
 // src/sim/network.cpp, SlottedNetwork::step).
 #pragma once
 
-#include <memory>
+#include <array>
+#include <cstdint>
 #include <optional>
+#include <string_view>
+#include <utility>
 
-#include "obs/registry.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace sorn {
+
+// The standard counters every Telemetry keeps. Exported under the
+// metrics JSON's "registry.counters" as "sim.<field>", in name order.
+struct TelemetryCounters {
+  std::uint64_t cells_dropped = 0;
+  std::uint64_t ecn_marks = 0;
+  std::uint64_t failures = 0;
+  std::uint64_t flows_injected = 0;
+  std::uint64_t gray_drops = 0;
+  std::uint64_t reconfigures = 0;
+  std::uint64_t retransmits = 0;
+
+  // (export name, value) pairs, sorted by name.
+  std::array<std::pair<std::string_view, std::uint64_t>, 7> named() const {
+    return {{{"sim.cells_dropped", cells_dropped},
+             {"sim.ecn_marks", ecn_marks},
+             {"sim.failures", failures},
+             {"sim.flows_injected", flows_injected},
+             {"sim.gray_drops", gray_drops},
+             {"sim.reconfigures", reconfigures},
+             {"sim.retransmits", retransmits}}};
+  }
+};
 
 struct TelemetryOptions {
   // 0 disables time-series sampling; k >= 1 records every k-th slot.
@@ -33,10 +58,11 @@ struct TelemetryOptions {
 
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryOptions options = {});
+  explicit Telemetry(TelemetryOptions options = {}) {
+    if (options.sample_every >= 1) sampler_.emplace(options.sample_every);
+  }
 
-  CounterRegistry& registry() { return registry_; }
-  const CounterRegistry& registry() const { return registry_; }
+  const TelemetryCounters& counters() const { return counters_; }
 
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
@@ -65,25 +91,25 @@ class Telemetry {
 
   void on_flow_inject(Slot slot, std::uint64_t flow, NodeId src, NodeId dst,
                       std::uint64_t bytes, int flow_class) {
-    c_flows_injected_->inc();
+    ++counters_.flows_injected;
     tracer_.flow_inject(slot, flow, src, dst, bytes, flow_class);
   }
   void on_cell_drop(Slot slot, NodeId at, NodeId next_hop,
                     std::uint64_t flow) {
-    c_cells_dropped_->inc();
+    ++counters_.cells_dropped;
     tracer_.cell_drop(slot, at, next_hop, flow);
   }
   void on_reconfigure(Slot slot) {
-    c_reconfigures_->inc();
+    ++counters_.reconfigures;
     tracer_.reconfigure(slot);
   }
   void on_node_fail(Slot slot, NodeId node) {
-    c_failures_->inc();
+    ++counters_.failures;
     tracer_.node_fail(slot, node);
   }
   void on_node_heal(Slot slot, NodeId node) { tracer_.node_heal(slot, node); }
   void on_circuit_fail(Slot slot, NodeId src, NodeId dst) {
-    c_failures_->inc();
+    ++counters_.failures;
     tracer_.circuit_fail(slot, src, dst);
   }
   void on_circuit_heal(Slot slot, NodeId src, NodeId dst) {
@@ -93,7 +119,7 @@ class Telemetry {
   // `loss_p`, and/or serving only a `capacity` fraction of its slots.
   void on_circuit_degrade(Slot slot, NodeId src, NodeId dst, double loss_p,
                           double capacity) {
-    c_failures_->inc();
+    ++counters_.failures;
     tracer_.circuit_degrade(slot, src, dst, loss_p, capacity);
   }
   void on_circuit_restore(Slot slot, NodeId src, NodeId dst) {
@@ -102,33 +128,25 @@ class Telemetry {
   // A cell was lost on a gray (lossy) circuit mid-flight.
   void on_gray_drop(Slot slot, NodeId at, NodeId next_hop,
                     std::uint64_t flow) {
-    c_cells_dropped_->inc();
-    c_gray_drops_->inc();
+    ++counters_.cells_dropped;
+    ++counters_.gray_drops;
     tracer_.gray_drop(slot, at, next_hop, flow);
   }
   // One stall-detector firing: `cells` undelivered cells of `flow` were
   // re-admitted on backoff round `attempt`.
   void on_retransmit(Slot slot, std::uint64_t flow, std::uint64_t cells,
                      std::uint32_t attempt) {
-    c_retransmits_->inc();
+    ++counters_.retransmits;
     tracer_.retransmit(slot, flow, cells, attempt);
   }
   // A cell was ECN-marked at enqueue. Counter only — marking is per-cell
   // and would swamp the event trace.
-  void on_ecn_mark() { c_ecn_marks_->inc(); }
+  void on_ecn_mark() { ++counters_.ecn_marks; }
 
  private:
-  CounterRegistry registry_;
+  TelemetryCounters counters_;
   Tracer tracer_;
   std::optional<TimeSeriesSampler> sampler_;
-  // Standard counters, resolved once so hooks are a single add.
-  Counter* c_flows_injected_;
-  Counter* c_cells_dropped_;
-  Counter* c_reconfigures_;
-  Counter* c_failures_;
-  Counter* c_retransmits_;
-  Counter* c_gray_drops_;
-  Counter* c_ecn_marks_;
 };
 
 }  // namespace sorn

@@ -5,16 +5,25 @@
 namespace sorn {
 
 FileTraceSink::FileTraceSink(const std::string& path)
-    : f_(std::fopen(path.c_str(), "w")) {}
+    : f_(std::fopen(path.c_str(), "w")), failed_(f_ == nullptr) {}
 
-FileTraceSink::~FileTraceSink() {
-  if (f_ != nullptr) std::fclose(f_);
-}
+FileTraceSink::~FileTraceSink() { close(); }
 
 void FileTraceSink::write(std::string_view record) {
   if (f_ == nullptr) return;
-  std::fwrite(record.data(), 1, record.size(), f_);
-  std::fputc('\n', f_);
+  if (std::fwrite(record.data(), 1, record.size(), f_) != record.size() ||
+      std::fputc('\n', f_) == EOF)
+    failed_ = true;
+}
+
+bool FileTraceSink::close() {
+  if (f_ != nullptr) {
+    // A full disk often surfaces only here, when the buffered tail is
+    // flushed.
+    if (std::fclose(f_) != 0) failed_ = true;
+    f_ = nullptr;
+  }
+  return !failed_;
 }
 
 namespace {

@@ -50,7 +50,9 @@ class MemoryTraceSink final : public TraceSink {
   std::vector<std::string> lines_;
 };
 
-// Appends one line per record to a file (JSONL).
+// Appends one line per record to a file (JSONL). A failed write (a full
+// disk, say) is remembered and reported by close(); the trace is lost
+// either way, but the run can say so.
 class FileTraceSink final : public TraceSink {
  public:
   explicit FileTraceSink(const std::string& path);
@@ -58,11 +60,16 @@ class FileTraceSink final : public TraceSink {
   FileTraceSink(const FileTraceSink&) = delete;
   FileTraceSink& operator=(const FileTraceSink&) = delete;
 
+  // The file is open.
   bool ok() const { return f_ != nullptr; }
   void write(std::string_view record) override;
+  // Flush and close the file; later writes are dropped. True when the
+  // file opened and every write and the close succeeded.
+  bool close();
 
  private:
   std::FILE* f_ = nullptr;
+  bool failed_ = false;
 };
 
 class Tracer {

@@ -18,8 +18,6 @@ VlbRouter::VlbRouter(const CircuitSchedule* schedule, LbMode mode)
   SORN_ASSERT(schedule_ != nullptr, "VLB router needs a schedule");
 }
 
-Path VlbRouter::direct(NodeId src, NodeId dst) { return Path::of({src, dst}); }
-
 Path VlbRouter::route(NodeId src, NodeId dst, Slot now, Rng& rng) const {
   SORN_ASSERT(src != dst, "cannot route a node to itself");
   const bool avoid = avoid_failures();

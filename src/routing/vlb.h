@@ -14,10 +14,6 @@ class VlbRouter : public Router {
   // kRandom it is uniform over nodes other than src.
   VlbRouter(const CircuitSchedule* schedule, LbMode mode);
 
-  // Direct single-hop routing (no load balancing); usable when traffic is
-  // known uniform. Provided for ablations.
-  static Path direct(NodeId src, NodeId dst);
-
   Path route(NodeId src, NodeId dst, Slot now, Rng& rng) const override;
   int max_hops() const override { return 2; }
 

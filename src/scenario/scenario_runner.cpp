@@ -420,7 +420,10 @@ bool ScenarioRunner::run(std::string* error) {
   // JSONL file is complete as soon as run() returns.
   if (trace_sink_ != nullptr) {
     telemetry_->set_trace_sink(nullptr);
+    const bool trace_written = trace_sink_->close();
     trace_sink_.reset();
+    if (!trace_written)
+      return fail(error, "cannot write " + config_.trace_path);
   }
   if (!config_.metrics_json_path.empty() &&
       !write_text_file(config_.metrics_json_path, metrics_json())) {
@@ -452,7 +455,7 @@ std::string ScenarioRunner::metrics_json() const {
 
 std::string ScenarioRunner::timeseries_csv() const {
   if (telemetry_ == nullptr || telemetry_->timeseries() == nullptr) return "";
-  return timeseries_to_csv(*telemetry_->timeseries());
+  return telemetry_->timeseries()->to_csv();
 }
 
 std::string ScenarioRunner::profile_json() const {

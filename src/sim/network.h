@@ -103,10 +103,11 @@ class SlottedNetwork {
   void run(Slot slots);
 
   // ---- Slot engine threads ----
-  // Shard each slot's node sweep across a pool of `threads` persistent
-  // workers, replacing the current pool (call between slots). A network
-  // starts with a 1-thread pool, which runs the sweep inline on the
-  // calling thread with no workers or synchronization. Results —
+  // Shard each slot's node sweep across `threads` threads — the thread
+  // calling step() and threads - 1 persistent workers — replacing the
+  // current pool (call between slots). A network starts with a 1-thread
+  // pool, which runs the sweep on the calling thread with no workers or
+  // synchronization. Results —
   // metrics, traces, time-series rows — are byte-identical for the same
   // seed at any thread count: shards stage their transmit outcomes per
   // lane in node order and the merge replays every side effect (metrics,

@@ -9,9 +9,10 @@ namespace sorn {
 
 namespace {
 
-// How long an idle worker (or the waiting caller) polls before parking on
-// the condition variable. At the slot cadence of a large sweep (~10 us)
-// the next batch almost always arrives well inside the spin window.
+// How long an idle worker (or the caller waiting for the workers) polls
+// before parking on a condition variable. At the slot cadence of a large
+// sweep (~10 us) the next batch almost always arrives well inside the
+// spin window.
 constexpr int kSpinIters = 1 << 14;
 
 inline void cpu_relax(int spins) {
@@ -29,6 +30,21 @@ inline void cpu_relax(int spins) {
 #else
   std::this_thread::yield();
 #endif
+}
+
+// Poll `ready` inside the spin window, then park on `cv` (under `m`)
+// until it holds. Whoever makes `ready` true notifies `cv` under `m`, so
+// the wakeup cannot fall between the predicate check and the park.
+template <typename Ready>
+void spin_then_park(std::mutex& m, std::condition_variable& cv, Ready ready) {
+  for (int spins = 1; !ready(); ++spins) {
+    if (spins < kSpinIters) {
+      cpu_relax(spins);
+      continue;
+    }
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, ready);
+  }
 }
 
 inline std::uint64_t steady_now_ns() {
@@ -57,24 +73,14 @@ std::vector<ShardRange> shard_ranges(NodeId n, int shards) {
 }
 
 ThreadPool::ThreadPool(int threads)
-    : threads_(threads),
-      worker_counters_(static_cast<std::size_t>(threads)) {
+    : threads_(threads), counters_(static_cast<std::size_t>(threads)) {
   SORN_ASSERT(threads >= 1, "thread pool needs at least one thread");
-  if (threads_ == 1) return;
-  workers_.reserve(static_cast<std::size_t>(threads_));
-  for (int t = 0; t < threads_; ++t)
+  workers_.reserve(static_cast<std::size_t>(threads_ - 1));
+  for (int t = 1; t < threads_; ++t)
     workers_.emplace_back([this, t] { worker_loop(t); });
 }
 
 ThreadPool::~ThreadPool() {
-  // Drain a batch begun but never waited for; its exceptions (if any)
-  // have nowhere to go and are dropped.
-  if (batch_active_) {
-    try {
-      wait();
-    } catch (...) {
-    }
-  }
   {
     std::lock_guard<std::mutex> lk(m_);
     stop_.store(true, std::memory_order_release);
@@ -88,87 +94,34 @@ int ThreadPool::default_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::begin(int shards, std::function<void(int)> fn) {
-  SORN_ASSERT(!batch_active_, "previous batch not waited for");
+void ThreadPool::run_shards(int shards, const std::function<void(int)>& fn) {
   SORN_ASSERT(shards >= 0, "negative shard count");
-  batch_active_ = true;
+  fn_ = &fn;
+  shards_ = shards;
   errors_.assign(static_cast<std::size_t>(shards), nullptr);
   const bool prof = profiling_.load(std::memory_order_relaxed);
   if (prof) ++prof_batches_;
-  if (workers_.empty()) {
-    // Inline pool: run the whole batch here; wait() only rethrows.
-    // Profiled inline batches attribute their time to "worker" 0 — the
-    // calling thread is the only executor a 1-thread pool has.
-    for (int s = 0; s < shards; ++s) {
-      const std::uint64_t t0 = prof ? steady_now_ns() : 0;
-      try {
-        fn(s);
-      } catch (...) {
-        errors_[static_cast<std::size_t>(s)] = std::current_exception();
-      }
-      if (prof) {
-        worker_counters_[0].busy_ns.fetch_add(steady_now_ns() - t0,
-                                              std::memory_order_relaxed);
-        worker_counters_[0].shards.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return;
-  }
-  // Leave headroom in the shard field: every worker can burn at most one
-  // stray ticket per batch, and the shard bits must never overflow into
-  // the generation tag.
-  SORN_ASSERT(shards < (1 << kShardBits) - threads_ - 1,
-              "shard count exceeds ticket space");
-  {
+  const bool helpers = !workers_.empty();
+  if (helpers) {
+    remaining_.store(static_cast<int>(workers_.size()),
+                     std::memory_order_relaxed);
     std::lock_guard<std::mutex> lk(m_);
-    fn_ = std::move(fn);
-    shards_.store(shards, std::memory_order_relaxed);
-    remaining_.store(shards, std::memory_order_relaxed);
-    const std::uint64_t gen =
-        (ticket_.load(std::memory_order_relaxed) >> kShardBits) + 1;
-    // The release store publishes fn_/shards_/errors_ to any worker whose
-    // first contact with this batch is a ticket claim.
-    ticket_.store(gen << kShardBits, std::memory_order_release);
+    // The release publishes fn_, shards_, errors_ and remaining_ to every
+    // worker that observes the new epoch.
+    epoch_.fetch_add(1, std::memory_order_release);
     work_cv_.notify_all();
   }
-}
-
-void ThreadPool::wait() {
-  if (!batch_active_) return;
-  const bool prof = profiling_.load(std::memory_order_relaxed);
-  const std::uint64_t wait_start = prof ? steady_now_ns() : 0;
-  if (!workers_.empty()) {
-    // Poll for completion inside the spin window, then park. remaining_
-    // itself is the predicate: it is reset only by the owner's next
-    // begin(), so unlike a done flag it cannot carry a stale completion
-    // mark from one batch into the next (the finishing worker notifies
-    // under the lock, so the wakeup cannot be lost either).
-    bool done = false;
-    for (int i = 0; i < kSpinIters; ++i) {
-      if (remaining_.load(std::memory_order_acquire) == 0) {
-        done = true;
-        break;
-      }
-      cpu_relax(i);
-    }
-    if (!done) {
-      std::unique_lock<std::mutex> lk(m_);
-      done_cv_.wait(lk, [this] {
-        return remaining_.load(std::memory_order_acquire) == 0;
-      });
-    }
+  run_stride(0);
+  if (helpers) {
+    // Even when one of the caller's own shards threw, wait for every
+    // worker: the lowest-indexed error is only known once all shards ran,
+    // and the batch state must not change under a running worker.
+    const std::uint64_t wait_start = prof ? steady_now_ns() : 0;
+    spin_then_park(m_, done_cv_, [this] {
+      return remaining_.load(std::memory_order_acquire) == 0;
+    });
+    if (prof) owner_wait_ns_ += steady_now_ns() - wait_start;
   }
-  if (prof) owner_wait_ns_ += steady_now_ns() - wait_start;
-  batch_active_ = false;
-  rethrow_first_error();
-}
-
-void ThreadPool::run_shards(int shards, const std::function<void(int)>& fn) {
-  begin(shards, fn);
-  wait();
-}
-
-void ThreadPool::rethrow_first_error() {
   for (std::exception_ptr& e : errors_) {
     if (e != nullptr) {
       std::exception_ptr first = e;
@@ -178,76 +131,52 @@ void ThreadPool::rethrow_first_error() {
   }
 }
 
-void ThreadPool::execute_shards(int worker) {
-  for (;;) {
-    const std::uint64_t t = ticket_.fetch_add(1, std::memory_order_acq_rel);
-    const std::uint64_t ticket_gen = t >> kShardBits;
-    const int s = static_cast<int>(t & ((1ULL << kShardBits) - 1));
-    // Validate against the counter's *current* generation bits. A valid
-    // claim pins its batch (remaining_ cannot hit zero, so no new batch
-    // can begin, until the shard executes), hence a same-generation
-    // re-read. A claim raced against a begin() reset reads the newer
-    // generation and is discarded.
-    if (ticket_gen != (ticket_.load(std::memory_order_acquire) >> kShardBits) ||
-        s >= shards_.load(std::memory_order_acquire))
-      return;
-    const bool prof = profiling_.load(std::memory_order_relaxed);
+void ThreadPool::run_stride(int thread) {
+  const bool prof = profiling_.load(std::memory_order_relaxed);
+  ThreadCounters& tc = counters_[static_cast<std::size_t>(thread)];
+  for (int s = thread; s < shards_; s += threads_) {
     const std::uint64_t t0 = prof ? steady_now_ns() : 0;
     try {
-      fn_(s);
+      (*fn_)(s);
     } catch (...) {
       errors_[static_cast<std::size_t>(s)] = std::current_exception();
     }
     if (prof) {
-      WorkerCounters& wc = worker_counters_[static_cast<std::size_t>(worker)];
-      wc.busy_ns.fetch_add(steady_now_ns() - t0, std::memory_order_relaxed);
-      wc.shards.fetch_add(1, std::memory_order_relaxed);
+      tc.busy_ns.fetch_add(steady_now_ns() - t0, std::memory_order_relaxed);
+      tc.shards.fetch_add(1, std::memory_order_relaxed);
     }
+  }
+}
+
+void ThreadPool::worker_loop(int thread) {
+  std::uint64_t seen = 0;  // the last epoch this worker ran
+  for (;;) {
+    spin_then_park(m_, work_cv_, [&] {
+      return epoch_.load(std::memory_order_acquire) != seen ||
+             stop_.load(std::memory_order_acquire);
+    });
+    const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
+    // stop_ is set only between batches, so a stopping pool never leaves
+    // a batch unrun.
+    if (epoch == seen) return;
+    seen = epoch;
+    run_stride(thread);
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Taking the lock before notifying closes the window between the
-      // owner's predicate check and its park — a bare notify there could
-      // be lost. If the owner already left via the spin path this notify
-      // is harmless: the next wait() re-checks remaining_, which begin()
-      // will have reset, so a straggler cannot signal the wrong batch.
+      // Notifying under the lock closes the window between the caller's
+      // predicate check and its park, so the wakeup cannot be lost. If
+      // the caller already left through its spin, this is harmless: it
+      // re-checks remaining_, which only the next batch resets.
       std::lock_guard<std::mutex> lk(m_);
       done_cv_.notify_all();
     }
   }
 }
 
-void ThreadPool::worker_loop(int worker) {
-  std::uint64_t seen = 0;  // generation this worker has fully drained
-  const auto current_gen = [this] {
-    return ticket_.load(std::memory_order_acquire) >> kShardBits;
-  };
-  for (;;) {
-    std::uint64_t gen = current_gen();
-    int spins = 0;
-    while (gen == seen && !stop_.load(std::memory_order_acquire)) {
-      if (++spins >= kSpinIters) {
-        std::unique_lock<std::mutex> lk(m_);
-        work_cv_.wait(lk, [&] {
-          return current_gen() != seen ||
-                 stop_.load(std::memory_order_acquire);
-        });
-        spins = 0;
-      } else {
-        cpu_relax(spins);
-      }
-      gen = current_gen();
-    }
-    if (gen == seen) return;  // stopped with no newer batch
-    seen = gen;
-    execute_shards(worker);
-  }
-}
-
 void ThreadPool::enable_profiling(bool on) {
-  SORN_ASSERT(!batch_active_, "enable_profiling during an active batch");
   if (on) {
-    for (WorkerCounters& wc : worker_counters_) {
-      wc.busy_ns.store(0, std::memory_order_relaxed);
-      wc.shards.store(0, std::memory_order_relaxed);
+    for (ThreadCounters& tc : counters_) {
+      tc.busy_ns.store(0, std::memory_order_relaxed);
+      tc.shards.store(0, std::memory_order_relaxed);
     }
     prof_batches_ = 0;
     owner_wait_ns_ = 0;
@@ -263,11 +192,11 @@ PoolUtilization ThreadPool::utilization() const {
   u.owner_wait_ns = owner_wait_ns_;
   u.window_ns =
       window_start_ns_ == 0 ? 0 : steady_now_ns() - window_start_ns_;
-  u.workers.reserve(worker_counters_.size());
-  for (const WorkerCounters& wc : worker_counters_) {
+  u.workers.reserve(counters_.size());
+  for (const ThreadCounters& tc : counters_) {
     PoolWorkerStats ws;
-    ws.busy_ns = wc.busy_ns.load(std::memory_order_relaxed);
-    ws.shards = wc.shards.load(std::memory_order_relaxed);
+    ws.busy_ns = tc.busy_ns.load(std::memory_order_relaxed);
+    ws.shards = tc.shards.load(std::memory_order_relaxed);
     u.shards += ws.shards;
     u.workers.push_back(ws);
   }

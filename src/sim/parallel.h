@@ -1,11 +1,12 @@
 // Persistent worker pool and deterministic sharding for the slot engine.
 //
-// The pool executes one "batch" at a time: run_shards(k, fn) calls
-// fn(0..k-1) across the workers and returns when every shard finished.
-// Shards are claimed dynamically (an atomic ticket counter), which is safe
-// for determinism because the engine never lets execution order leak into
-// results: each shard writes only shard-local staging buffers that the
-// caller merges in fixed shard order afterwards (see network.cpp).
+// ThreadPool(T) runs one "batch" at a time on T threads: the thread that
+// calls run_shards(k, fn) plus T-1 persistent workers. Shards are assigned
+// by fixed striding — thread t (the caller is t = 0) runs shards t, t+T,
+// t+2T, ... in order — so there is no shard claiming at all. Determinism
+// does not rest on the assignment either: each engine shard writes only
+// shard-local staging buffers that the caller merges in fixed shard order
+// afterwards (see network.cpp).
 //
 // Dispatch latency matters more than fairness here — a 128-node lane sweep
 // is only a few microseconds of work — so idle workers spin briefly before
@@ -39,8 +40,8 @@ std::vector<ShardRange> shard_ranges(NodeId n, int shards);
 
 class ThreadPool {
  public:
-  // threads >= 1. A pool of 1 owns no workers: batches run inline on the
-  // calling thread, so the single-threaded engine pays no synchronization.
+  // threads >= 1; starts threads - 1 workers. A pool of 1 has none, so
+  // its batches run on the calling thread with no atomics or locks.
   explicit ThreadPool(int threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -48,17 +49,11 @@ class ThreadPool {
 
   int thread_count() const { return threads_; }
 
-  // Dispatch a batch without blocking (inline pools run it right here).
-  // A previous batch must have been wait()ed for. fn may be called
-  // concurrently from several workers with distinct shard indices.
-  void begin(int shards, std::function<void(int)> fn);
-
-  // Block until the current batch completes. If any shard threw, rethrows
-  // the exception of the lowest-indexed throwing shard (deterministic
-  // regardless of scheduling). No-op when no batch is active.
-  void wait();
-
-  // begin() + wait().
+  // Run fn(0..shards-1) and return when every shard has finished. fn is
+  // called concurrently from several threads with distinct shard indices;
+  // shard s runs on thread s mod thread_count(). If any shard threw,
+  // rethrows the exception of the lowest-indexed throwing shard, after
+  // every shard has finished (deterministic regardless of scheduling).
   void run_shards(int shards, const std::function<void(int)>& fn);
 
   // std::thread::hardware_concurrency with a floor of 1 (the standard
@@ -66,12 +61,12 @@ class ThreadPool {
   static int default_threads();
 
   // ---- Utilization accounting (obs/prof) ----
-  // When enabled, each worker times its shard bodies (two clock reads per
+  // When enabled, each thread times its shard bodies (two clock reads per
   // shard, written to its own cache-line-padded counters with relaxed
-  // atomics) and the owner times its wait()s. Disabled — the default —
-  // the hot paths pay one relaxed flag load. Call between batches, from
-  // the owner thread; enabling resets the counters and starts the
-  // utilization window.
+  // atomics) and the caller times its wait for the workers after its own
+  // shards. Disabled — the default — the hot paths pay one relaxed flag
+  // load. Call between batches, from the owner thread; enabling resets
+  // the counters and starts the utilization window.
   void enable_profiling(bool on);
   bool profiling_enabled() const {
     return profiling_.load(std::memory_order_relaxed);
@@ -81,49 +76,40 @@ class ThreadPool {
   PoolUtilization utilization() const;
 
  private:
-  void worker_loop(int worker);
-  // Claim and run shards of the current batch until none remain.
-  void execute_shards(int worker);
-  void rethrow_first_error();
+  void worker_loop(int thread);
+  // Run this thread's stride of the current batch: shards thread,
+  // thread + threads_, ...
+  void run_stride(int thread);
 
   const int threads_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // worker w is thread w + 1
 
+  // Batch state, written by the caller before the epoch_ bump releases
+  // it to the workers. epoch_ is the one wake-up signal (workers spin,
+  // then park, until it moves past the batch they last ran); remaining_
+  // counts the workers yet to check out of the batch. The caller returns
+  // only once it reads 0, and resets it only for the next batch, so no
+  // worker is still inside a batch when the next one starts.
   std::mutex m_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  bool batch_active_ = false;  // owner-thread bookkeeping (begin/wait/dtor)
-
-  // Batch state. Written in begin() before the ticket store releases it
-  // to the workers. ticket_ is the single source of truth: it packs
-  // (batch generation << kShardBits) | next shard, so one counter both
-  // wakes idle workers (generation bits changed) and hands out claims
-  // (fetch_add). A straggler's claim from a drained batch carries a stale
-  // generation tag and is discarded, so it can never collide with — or
-  // be double-executed against — a claim on the current batch.
-  static constexpr int kShardBits = 20;
-  std::function<void(int)> fn_;
-  std::atomic<int> shards_{0};
-  // remaining_ == 0 is the batch-completion signal wait() observes; it is
-  // deliberately the *only* one. A boolean "done" flag set by the last
-  // worker would race: the owner can exit wait() through the spin path and
-  // begin() the next batch before that worker gets around to setting it,
-  // leaving a stale done mark that ends the next wait() early.
+  const std::function<void(int)>* fn_ = nullptr;
+  int shards_ = 0;
+  std::atomic<std::uint64_t> epoch_{0};
   std::atomic<int> remaining_{0};
-  std::atomic<std::uint64_t> ticket_{0};
   std::atomic<bool> stop_{false};
   std::vector<std::exception_ptr> errors_;  // one slot per shard
 
-  // Profiling counters. Per-worker entries are padded so concurrent
-  // relaxed writes from different workers never share a cache line; the
-  // owner-side fields (batches, wait time, window start) are touched only
-  // from the owner thread.
-  struct alignas(64) WorkerCounters {
+  // Profiling counters, one entry per thread (entry 0 is the caller),
+  // padded so concurrent relaxed writes from different threads never
+  // share a cache line. The caller-side fields (batches, wait time,
+  // window start) are touched only from the owner thread.
+  struct alignas(64) ThreadCounters {
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> shards{0};
   };
   std::atomic<bool> profiling_{false};
-  std::vector<WorkerCounters> worker_counters_;  // sized threads_, fixed
+  std::vector<ThreadCounters> counters_;  // sized threads_, fixed
   std::uint64_t prof_batches_ = 0;
   std::uint64_t owner_wait_ns_ = 0;
   std::uint64_t window_start_ns_ = 0;

@@ -202,14 +202,6 @@ Rational Rational::approximate(double v, std::int64_t max_den) {
   return {p1, q1};
 }
 
-CircuitSchedule ScheduleBuilder::round_robin(NodeId n) {
-  SORN_ASSERT(n >= 2, "round robin needs at least two nodes");
-  std::vector<Matching> slots;
-  slots.reserve(static_cast<std::size_t>(n) - 1);
-  for (NodeId k = 1; k < n; ++k) slots.push_back(Matching::cyclic_shift(n, k));
-  return CircuitSchedule(std::move(slots));
-}
-
 CircuitSchedule ScheduleBuilder::rotor(NodeId n, Slot dwell) {
   SORN_ASSERT(n >= 2, "rotor needs at least two nodes");
   SORN_ASSERT(dwell >= 1, "dwell must be at least one slot");

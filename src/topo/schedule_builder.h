@@ -38,8 +38,9 @@ struct Rational {
 class ScheduleBuilder {
  public:
   // Flat round-robin over n nodes: period n-1, slot k applies the cyclic
-  // shift by k+1. Every circuit appears exactly once per period.
-  static CircuitSchedule round_robin(NodeId n);
+  // shift by k+1. Every circuit appears exactly once per period. The
+  // rotor below with each matching held for one slot.
+  static CircuitSchedule round_robin(NodeId n) { return rotor(n, 1); }
 
   // Mixed-radix optimal ORN (Wilson et al. [35]: "Extending Optimal
   // Oblivious Reconfigurable Networks to all N"): nodes are mixed-radix

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/trace.h"
 #include "routing/direct.h"
 #include "scenario/scenario_runner.h"
 #include "sim/network.h"
@@ -135,6 +136,32 @@ TEST(ExportTest, ScenarioRunFailsWhenTheMetricsCannotBeWritten) {
   cfg.slots = 200;
   cfg.threads = 1;
   cfg.metrics_json_path = "/dev/full";
+  std::string error;
+  auto runner = ScenarioRunner::create(cfg, &error);
+  ASSERT_NE(runner, nullptr) << error;
+  EXPECT_FALSE(runner->run(&error));
+  EXPECT_NE(error.find("cannot write /dev/full"), std::string::npos) << error;
+}
+
+TEST(ExportTest, TraceSinkReportsAFullDiskOnClose) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full on this platform";
+  FileTraceSink sink("/dev/full");
+  ASSERT_TRUE(sink.ok());
+  sink.write("{\"ev\":\"reconfigure\",\"slot\":0}");
+  EXPECT_FALSE(sink.close());
+  EXPECT_FALSE(sink.close()) << "a second close forgot the failure";
+}
+
+TEST(ExportTest, ScenarioRunFailsWhenTheTraceCannotBeWritten) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full on this platform";
+  // Long enough to inject (and so trace) a few flows.
+  ScenarioConfig cfg;
+  cfg.nodes = 32;
+  cfg.cliques = 8;
+  cfg.locality_x = 0.6;
+  cfg.slots = 2000;
+  cfg.threads = 1;
+  cfg.trace_path = "/dev/full";
   std::string error;
   auto runner = ScenarioRunner::create(cfg, &error);
   ASSERT_NE(runner, nullptr) << error;

@@ -1,11 +1,12 @@
 // Integration of the telemetry facade with the simulator and the control
-// plane: events land in the trace with the right shape, counters count,
-// and the sampler sees the per-slot trajectory.
+// plane: events land in the trace with the right shape, counters count
+// and export in name order, and the sampler sees the per-slot trajectory.
 #include "obs/telemetry.h"
 
 #include <gtest/gtest.h>
 
 #include "control/control_plane.h"
+#include "obs/export.h"
 #include "routing/direct.h"
 #include "routing/vlb.h"
 #include "sim/network.h"
@@ -43,7 +44,7 @@ TEST(TelemetryIntegrationTest, FlowLifecycleIsTraced) {
   EXPECT_TRUE(has_event(sink, "\"ev\":\"flow_inject\",\"slot\":0,\"flow\":7"));
   EXPECT_TRUE(has_event(sink, "\"ev\":\"flow_complete\""));
   EXPECT_TRUE(has_event(sink, "\"class\":1"));
-  EXPECT_EQ(telemetry.registry().counter("sim.flows_injected")->value(), 1u);
+  EXPECT_EQ(telemetry.counters().flows_injected, 1u);
 }
 
 TEST(TelemetryIntegrationTest, DropAndFailureEventsAreTraced) {
@@ -62,7 +63,7 @@ TEST(TelemetryIntegrationTest, DropAndFailureEventsAreTraced) {
   net.inject_cell(0, 3);
   EXPECT_EQ(net.metrics().dropped_cells(), 1u);
   EXPECT_TRUE(has_event(sink, "\"ev\":\"cell_drop\""));
-  EXPECT_EQ(telemetry.registry().counter("sim.cells_dropped")->value(), 1u);
+  EXPECT_EQ(telemetry.counters().cells_dropped, 1u);
 
   net.fail_node(2);
   net.fail_circuit(0, 1);
@@ -72,7 +73,7 @@ TEST(TelemetryIntegrationTest, DropAndFailureEventsAreTraced) {
   EXPECT_TRUE(has_event(sink, "\"ev\":\"circuit_fail\""));
   EXPECT_TRUE(has_event(sink, "\"ev\":\"node_heal\""));
   EXPECT_TRUE(has_event(sink, "\"ev\":\"circuit_heal\""));
-  EXPECT_EQ(telemetry.registry().counter("sim.failures")->value(), 2u);
+  EXPECT_EQ(telemetry.counters().failures, 2u);
 }
 
 TEST(TelemetryIntegrationTest, SamplerRecordsDecimatedTrajectory) {
@@ -110,7 +111,7 @@ TEST(TelemetryIntegrationTest, ReconfigureIsTraced) {
   net.run(3);
   net.reconfigure(&s2, &router);
   EXPECT_TRUE(has_event(sink, "\"ev\":\"reconfigure\",\"slot\":3"));
-  EXPECT_EQ(telemetry.registry().counter("sim.reconfigures")->value(), 1u);
+  EXPECT_EQ(telemetry.counters().reconfigures, 1u);
 }
 
 TEST(TelemetryIntegrationTest, ControlPlaneReplanReasonsAreTraced) {
@@ -157,6 +158,54 @@ TEST(TelemetryIntegrationTest, ControlPlaneReplanReasonsAreTraced) {
   EXPECT_TRUE(cp.tick(net, 100000));
   EXPECT_TRUE(has_event(sink, "\"ev\":\"reconfig_applied\""));
   EXPECT_TRUE(has_event(sink, "\"ev\":\"reconfigure\""));
+}
+
+TEST(TelemetryCountersTest, HooksCountIntoFixedCounters) {
+  Telemetry telemetry;
+  EXPECT_EQ(telemetry.counters().cells_dropped, 0u);
+  telemetry.on_cell_drop(0, 1, 2, 3);
+  telemetry.on_gray_drop(1, 1, 2, 3);
+  telemetry.on_ecn_mark();
+  telemetry.on_ecn_mark();
+  telemetry.on_retransmit(2, 3, 4, 1);
+  telemetry.on_node_fail(3, 1);
+  telemetry.on_node_heal(4, 1);  // heals are traced, not counted
+  const TelemetryCounters& c = telemetry.counters();
+  EXPECT_EQ(c.cells_dropped, 2u);  // a gray drop is also a drop
+  EXPECT_EQ(c.gray_drops, 1u);
+  EXPECT_EQ(c.ecn_marks, 2u);
+  EXPECT_EQ(c.retransmits, 1u);
+  EXPECT_EQ(c.failures, 1u);
+  EXPECT_EQ(c.flows_injected, 0u);
+  EXPECT_EQ(c.reconfigures, 0u);
+}
+
+TEST(TelemetryCountersTest, SnapshotIsNameSorted) {
+  TelemetryCounters c;
+  c.ecn_marks = 5;
+  c.retransmits = 7;
+  const auto named = c.named();
+  for (std::size_t i = 1; i < named.size(); ++i)
+    EXPECT_LT(named[i - 1].first, named[i].first);
+  EXPECT_EQ(named.front().first, "sim.cells_dropped");
+  EXPECT_EQ(named[1].first, "sim.ecn_marks");
+  EXPECT_EQ(named[1].second, 5u);
+  EXPECT_EQ(named.back().first, "sim.retransmits");
+  EXPECT_EQ(named.back().second, 7u);
+}
+
+TEST(TelemetryCountersTest, ExportKeepsTheRegistryShape) {
+  Telemetry telemetry;
+  telemetry.on_reconfigure(0);
+  const SimMetrics metrics(/*slot_duration=*/1000, /*propagation_per_hop=*/0);
+  const std::string json = run_to_json(metrics, &telemetry);
+  EXPECT_NE(json.find("\"registry\":{\"counters\":{\"sim.cells_dropped\":0,"
+                      "\"sim.ecn_marks\":0,\"sim.failures\":0,"
+                      "\"sim.flows_injected\":0,\"sim.gray_drops\":0,"
+                      "\"sim.reconfigures\":1,\"sim.retransmits\":0},"
+                      "\"gauges\":{}}"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

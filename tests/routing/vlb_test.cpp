@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "routing/direct.h"
 #include "topo/schedule_builder.h"
 
 namespace sorn {
@@ -57,8 +58,11 @@ TEST(VlbTest, RandomIntermediateIsLoadBalanced) {
   }
 }
 
+// The no-load-balancing ablation of VLB is DirectRouter.
 TEST(VlbTest, DirectHelperBuildsOneHop) {
-  const Path p = VlbRouter::direct(2, 6);
+  const DirectRouter direct;
+  Rng rng(1);
+  const Path p = direct.route(2, 6, 0, rng);
   EXPECT_EQ(p.hop_count(), 1);
 }
 

@@ -1,10 +1,13 @@
 // ThreadPool and shard-plan unit tests: shard coverage and in-shard
-// ordering, exception propagation, and teardown while idle and mid-batch.
+// ordering, the fixed thread-per-shard striding, exception propagation,
+// and teardown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -81,13 +84,14 @@ TEST(ThreadPoolTest, ReusableAcrossManyBatches) {
   EXPECT_EQ(total.load(), 1000);
 }
 
-// Regression for a stale-completion race: when wait() exits through its
-// spin path, the finishing worker may only reach the mutex after the next
-// batch has already begun. A completion flag set there would mark the
-// *new* batch done and let its wait() return (via the cv path) while
-// shards are still running. Alternate instant batches (spin-path exit)
-// with slow batches (cv-path wait, forced by a shard that outlasts the
-// spin window) and check no wait() ever returns before its batch drains.
+// Regression for a stale-completion race: when the caller's wait for the
+// workers exits through its spin path, the finishing worker may only
+// reach the mutex after the next batch has already begun. A completion
+// flag set there would mark the *new* batch done and let run_shards()
+// return (via the cv path) while shards are still running. Alternate
+// instant batches (spin-path exit) with slow batches (cv-path wait,
+// forced by a worker shard that outlasts the spin window) and check no
+// batch ever returns before it drains.
 TEST(ThreadPoolTest, SlowBatchAfterFastBatchWaitsForAllShards) {
   ThreadPool pool(4);
   for (int rep = 0; rep < 50; ++rep) {
@@ -96,10 +100,10 @@ TEST(ThreadPoolTest, SlowBatchAfterFastBatchWaitsForAllShards) {
     EXPECT_EQ(fast.load(), 4);
     std::atomic<int> slow{0};
     pool.run_shards(4, [&](int s) {
-      if (s == 0) std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      if (s == 1) std::this_thread::sleep_for(std::chrono::milliseconds(3));
       slow.fetch_add(1);
     });
-    EXPECT_EQ(slow.load(), 4) << "wait() returned with shards in flight";
+    EXPECT_EQ(slow.load(), 4) << "returned with shards in flight";
   }
 }
 
@@ -154,19 +158,47 @@ TEST(ThreadPoolTest, TeardownNeverUsed) {
   SUCCEED();  // destructor joins workers that never saw a batch
 }
 
-TEST(ThreadPoolTest, TeardownMidBatchDrainsEveryTask) {
-  std::vector<std::atomic<int>> runs(16);
-  for (auto& r : runs) r.store(0);
-  {
-    ThreadPool pool(4);
-    pool.begin(16, [&](int s) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      runs[s].fetch_add(1);
-    });
-    // Destroyed without wait(): the destructor must drain the in-flight
-    // batch before joining, never dropping or double-running a shard.
+// ThreadPool(T) runs on T threads: the caller plus T-1 workers, with
+// shard s always on thread s mod T and the caller taking shard 0.
+TEST(ThreadPoolTest, CallerRunsShardZeroAndShardsStrideOverThreads) {
+  for (const int threads : {1, 2, 3, 4}) {
+    ThreadPool pool(threads);
+    constexpr int kShards = 11;
+    for (int rep = 0; rep < 20; ++rep) {
+      std::vector<std::thread::id> ran_on(kShards);
+      pool.run_shards(kShards, [&](int s) {
+        ran_on[static_cast<std::size_t>(s)] = std::this_thread::get_id();
+      });
+      const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+      EXPECT_EQ(static_cast<int>(distinct.size()), std::min(threads, kShards));
+      EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+      for (int s = 0; s < kShards; ++s) {
+        EXPECT_EQ(ran_on[static_cast<std::size_t>(s)],
+                  ran_on[static_cast<std::size_t>(s % threads)])
+            << "shard " << s << " at " << threads << " threads";
+      }
+    }
   }
-  for (int s = 0; s < 16; ++s) EXPECT_EQ(runs[s].load(), 1);
+}
+
+// The caller's own shard throwing must not cut the batch short: the
+// exception surfaces only after the workers' shards have finished.
+TEST(ThreadPoolTest, CallerShardExceptionWaitsForWorkerShards) {
+  ThreadPool pool(3);
+  for (int rep = 0; rep < 10; ++rep) {
+    std::atomic<int> finished{0};
+    try {
+      pool.run_shards(3, [&](int s) {
+        if (s == 0) throw std::runtime_error("caller shard");
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        finished.fetch_add(1);
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "caller shard");
+    }
+    EXPECT_EQ(finished.load(), 2) << "rethrown with worker shards running";
+  }
 }
 
 TEST(ThreadPoolTest, DefaultThreadsIsAtLeastOne) {
